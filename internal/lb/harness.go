@@ -43,43 +43,9 @@ func MeterLearnBall(comm *graph.Graph, cut []bool, depth, bandwidth, bitsNeeded 
 	if depth < 1 {
 		return nil, fmt.Errorf("lb: depth must be >= 1, got %d", depth)
 	}
-	proc := func(ctx *dist.Ctx) {
-		type edgeKey [2]int
-		known := make(map[edgeKey]bool)
-		var fresh []edgeKey
-		for _, u := range ctx.Neighbors() {
-			k := edgeKey{ctx.ID(), u}
-			if k[0] > k[1] {
-				k[0], k[1] = k[1], k[0]
-			}
-			known[k] = true
-			fresh = append(fresh, k)
-		}
-		for round := 0; round < depth; round++ {
-			sort.Slice(fresh, func(i, j int) bool {
-				if fresh[i][0] != fresh[j][0] {
-					return fresh[i][0] < fresh[j][0]
-				}
-				return fresh[i][1] < fresh[j][1]
-			})
-			payload := dist.Pairs{Space: ctx.N()}
-			for _, k := range fresh {
-				payload.Values = append(payload.Values, [2]int{k[0], k[1]})
-			}
-			ctx.Broadcast(payload)
-			fresh = nil
-			for _, m := range ctx.NextRound() {
-				for _, pr := range m.Payload.(dist.Pairs).Values {
-					k := edgeKey{pr[0], pr[1]}
-					if !known[k] {
-						known[k] = true
-						fresh = append(fresh, k)
-					}
-				}
-			}
-		}
-	}
-	stats, err := dist.Run(dist.Config{Graph: comm, Seed: 1, CutSide: cut}, proc)
+	stats, err := dist.RunMachines(dist.Config{Graph: comm, Seed: 1, CutSide: cut}, func(*dist.Ctx) dist.Machine {
+		return &learnBall{depth: depth}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -96,6 +62,62 @@ func MeterLearnBall(comm *graph.Graph, cut []bool, depth, bandwidth, bitsNeeded 
 		BitsNeeded:    bitsNeeded,
 		ImpliedRounds: ImpliedRoundLB(bitsNeeded, cutEdges, bandwidth),
 	}, nil
+}
+
+// learnBall is one vertex of the learn-ball protocol: each round it
+// broadcasts the edges it learned in the previous round (its own edges
+// first) as one record whose tail packs the pairs flat, and folds the
+// unseen edges of its inbox into the next round's batch.
+type learnBall struct {
+	depth, round int
+	known        map[[2]int]bool
+	fresh        [][2]int
+	tail         []int
+}
+
+// pairsBits bills a batch of id pairs from a space of n ids: one length
+// word plus two id words per pair.
+func pairsBits(pairs, n int) int { return (1 + 2*pairs) * dist.IDBits(n) }
+
+func (m *learnBall) Step(ctx *dist.Ctx, in dist.StepIn) dist.StepStatus {
+	if in.Start {
+		m.known = make(map[[2]int]bool)
+		for _, u := range ctx.Neighbors() {
+			k := [2]int{ctx.ID(), u}
+			if k[0] > k[1] {
+				k[0], k[1] = k[1], k[0]
+			}
+			m.known[k] = true
+			m.fresh = append(m.fresh, k)
+		}
+	} else {
+		for _, r := range in.Recs {
+			for i := 0; i+1 < len(r.Ints); i += 2 {
+				k := [2]int{r.Ints[i], r.Ints[i+1]}
+				if !m.known[k] {
+					m.known[k] = true
+					m.fresh = append(m.fresh, k)
+				}
+			}
+		}
+		m.round++
+	}
+	if m.round == m.depth {
+		return dist.StepDone
+	}
+	sort.Slice(m.fresh, func(i, j int) bool {
+		if m.fresh[i][0] != m.fresh[j][0] {
+			return m.fresh[i][0] < m.fresh[j][0]
+		}
+		return m.fresh[i][1] < m.fresh[j][1]
+	})
+	m.tail = m.tail[:0]
+	for _, k := range m.fresh {
+		m.tail = append(m.tail, k[0], k[1])
+	}
+	ctx.BroadcastRec(dist.Rec{Ints: m.tail}, pairsBits(len(m.fresh), ctx.N()))
+	m.fresh = nil
+	return dist.StepYield
 }
 
 // DecideDisjointness is Alice's decision rule from Lemma 2.4: given a
