@@ -1,8 +1,8 @@
 // Algorithm-level reproducibility: for a fixed seed, the distributed
 // algorithms are deterministic end to end — identical edge sets AND
-// identical engine statistics across runs, independent of goroutine
-// scheduling. CI additionally runs these under -race, where the scheduler
-// is deliberately perturbed.
+// identical engine statistics across runs, independent of how steps are
+// sharded across goroutines. CI additionally runs these under -race,
+// where the scheduler is deliberately perturbed.
 package distspanner_test
 
 import (
@@ -10,6 +10,10 @@ import (
 	"testing"
 
 	"distspanner"
+	"distspanner/internal/core"
+	"distspanner/internal/dist"
+	"distspanner/internal/graph"
+	"distspanner/internal/mds"
 )
 
 func TestBuild2SpannerReproducible(t *testing.T) {
@@ -57,49 +61,57 @@ func TestBuildMDSReproducible(t *testing.T) {
 	}
 }
 
-// TestCrossModeTranscriptsIdentical is the engine's scheduler-equivalence
-// contract at the algorithm level: for a fixed (graph, seed), the barrier
-// engine, the event-driven scheduler, and the goroutine-free state-machine
-// engine must produce bit-identical transcripts — the same spanner edge
-// set, the same dominating set, and the same engine statistics (rounds,
-// messages, bits), field for field.
+// TestCrossModeTranscriptsIdentical is the engine's correctness contract
+// at the algorithm level: for a fixed (graph, seed), the public API run
+// on the step engine and the same protocol run by the sequential
+// reference interpreter (dist.RunReference) must produce bit-identical
+// transcripts — the same spanner edge set, the same dominating set, and
+// the same engine statistics (rounds, messages, bits), field for field.
 func TestCrossModeTranscriptsIdentical(t *testing.T) {
-	modes := []distspanner.ExecMode{distspanner.ModeBarrier, distspanner.ModeEvent, distspanner.ModeStep}
 	g := distspanner.RandomGraph(60, 0.15, 41)
-	base, err := distspanner.Build2Spanner(g, distspanner.Options{Seed: 5, ExecMode: modes[0]})
+	base, err := distspanner.Build2Spanner(g, distspanner.Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range modes[1:] {
-		res, err := distspanner.Build2Spanner(g, distspanner.Options{Seed: 5, ExecMode: mode})
-		if err != nil {
-			t.Fatal(err)
+	prog := core.TwoSpannerProgram(g, core.Options{Seed: 5})
+	stats, err := dist.RunReference(dist.Config{Graph: g, Seed: 5}, prog.Factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := graph.NewEdgeSet(g.M())
+	for v := 0; v < g.N(); v++ {
+		for _, e := range prog.Output(v) {
+			ref.Add(e)
 		}
-		if !base.Spanner.Equal(res.Spanner) {
-			t.Fatalf("2-spanner edge sets differ between barrier and %v modes", mode)
-		}
-		if base.Stats != res.Stats {
-			t.Fatalf("2-spanner stats differ between modes:\nbarrier: %+v\n%v: %+v", base.Stats, mode, res.Stats)
-		}
-		if base.Iterations != res.Iterations || base.Cost != res.Cost {
-			t.Fatalf("2-spanner telemetry differs between barrier and %v modes", mode)
-		}
+	}
+	if !base.Spanner.Equal(ref) {
+		t.Fatal("2-spanner edge sets differ between the engine and the reference")
+	}
+	if base.Stats != *stats {
+		t.Fatalf("2-spanner stats differ:\nengine:    %+v\nreference: %+v", base.Stats, *stats)
 	}
 
 	mg := distspanner.RandomGraph(48, 0.18, 13)
-	mb, err := distspanner.BuildMDS(mg, distspanner.MDSOptions{Seed: 9, ExecMode: modes[0]})
+	mb, err := distspanner.BuildMDS(mg, distspanner.MDSOptions{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range modes[1:] {
-		res, err := distspanner.BuildMDS(mg, distspanner.MDSOptions{Seed: 9, ExecMode: mode})
-		if err != nil {
-			t.Fatal(err)
+	mprog := mds.Program(mg, mds.Options{Seed: 9})
+	mstats, err := dist.RunReference(dist.Config{
+		Graph: mg, Seed: 9, Bandwidth: mds.DefaultBandwidth(mg.N()), Enforce: true,
+	}, mprog.Factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ds []int
+	for v := 0; v < mg.N(); v++ {
+		if len(mprog.Output(v)) > 0 {
+			ds = append(ds, v)
 		}
-		if !reflect.DeepEqual(mb.DominatingSet, res.DominatingSet) || mb.Stats != res.Stats {
-			t.Fatalf("MDS transcripts differ between modes:\nbarrier: %v %+v\n%v: %v %+v",
-				mb.DominatingSet, mb.Stats, mode, res.DominatingSet, res.Stats)
-		}
+	}
+	if !reflect.DeepEqual(mb.DominatingSet, ds) || mb.Stats != *mstats {
+		t.Fatalf("MDS transcripts differ:\nengine:    %v %+v\nreference: %v %+v",
+			mb.DominatingSet, mb.Stats, ds, *mstats)
 	}
 }
 

@@ -2,10 +2,11 @@
 // the repo's written determinism, metering, and cancellation contracts.
 //
 // Every subsystem since the trace digests leans on one invariant — a run
-// is a pure function of (graph, params, seed), byte-identical across all
-// three engines and both transports. The contract is stated in prose
-// (ARCHITECTURE.md, the dist package docs) and enforced dynamically
-// (cross-mode digest tests, dist.AuditPayloadFields), but a single
+// is a pure function of (graph, params, seed), byte-identical across the
+// engine, its reference interpreter, and both transports. The contract
+// is stated in prose (ARCHITECTURE.md, the dist package docs) and
+// enforced dynamically (engine-vs-reference digest tests,
+// dist.AuditPayloadFields), but a single
 // unordered map iteration or stray time.Now in an algorithm receiver
 // silently poisons cache identity and transport verification long before
 // a test notices. The analyzers here make those violations build errors:

@@ -100,32 +100,29 @@ func TestMDSTailActivityShrinks(t *testing.T) {
 }
 
 // TestActivityCurveIdenticalAcrossModes pins the determinism of the
-// activity profile for a real algorithm: the per-round curve is
-// bit-identical under the barrier, event, and step schedulers.
+// activity profile for a real algorithm: the per-round curve of the step
+// engine is bit-identical to the reference interpreter's.
 func TestActivityCurveIdenticalAcrossModes(t *testing.T) {
 	g := tailInstance(32, 96, 7)
-	modes := []dist.Mode{dist.ModeBarrier, dist.ModeEvent, dist.ModeStep}
-	curves := make([][]dist.RoundActivity, len(modes))
-	for i, mode := range modes {
-		res, err := TwoSpanner(g, Options{Seed: 3, ExecMode: mode, RoundHook: func(a dist.RoundActivity) {
-			curves[i] = append(curves[i], a)
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.ParkedSteps == 0 {
-			t.Fatal("expected parking on the tail instance")
-		}
+	var engine, ref []dist.RoundActivity
+	res, err := TwoSpanner(g, Options{Seed: 3, RoundHook: func(a dist.RoundActivity) {
+		engine = append(engine, a)
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 1; i < len(modes); i++ {
-		if len(curves[0]) != len(curves[i]) {
-			t.Fatalf("curve lengths differ: %v %d vs %v %d", modes[0], len(curves[0]), modes[i], len(curves[i]))
-		}
-		for r := range curves[0] {
-			if curves[0][r] != curves[i][r] {
-				t.Fatalf("round %d activity differs between %v and %v: %+v vs %+v",
-					r+1, modes[0], modes[i], curves[0][r], curves[i][r])
-			}
+	if res.Stats.ParkedSteps == 0 {
+		t.Fatal("expected parking on the tail instance")
+	}
+	runTwoSpannerProgram(t, dist.RunReference, dist.Config{Graph: g, Seed: 3, OnRound: func(a dist.RoundActivity) {
+		ref = append(ref, a)
+	}})
+	if len(engine) != len(ref) {
+		t.Fatalf("curve lengths differ: engine %d vs reference %d", len(engine), len(ref))
+	}
+	for r := range engine {
+		if engine[r] != ref[r] {
+			t.Fatalf("round %d activity differs: engine %+v vs reference %+v", r+1, engine[r], ref[r])
 		}
 	}
 }

@@ -26,8 +26,8 @@
 //
 //   - active: the vertex owes a delta or is a candidate and runs the full
 //     iteration;
-//   - parked: nothing to send and no candidacy — the vertex blocks in
-//     dist.Ctx.Recv and is woken only by deliveries, whose payload types
+//   - parked: nothing to send and no candidacy — the vertex parks
+//     (dist.StepPark) and is woken only by deliveries, whose record tags
 //     identify the iteration phase it rejoins;
 //   - terminal: the paper's 2-hop termination rule fired — the vertex
 //     direct-adds its remaining uncovered edges, announces a termMsg that

@@ -17,12 +17,11 @@ import "distspanner/internal/dist"
 // State announcements are deltas: receivers accumulate them into
 // persistent per-neighbor state, so a vertex whose state did not change
 // sends nothing and a parked vertex receives nothing. Each phase has a
-// distinct record tag — that is how a vertex woken from Recv re-identifies
+// distinct record tag — that is how a vertex woken from a park re-identifies
 // the current phase (see classifyUndirected / classifyDirected).
 
 // Record tags. Tags within one protocol's phases are disjoint; the tag is
-// the type information the flat-buffer inbox carries in place of a boxed
-// payload's dynamic type.
+// the type information the flat-buffer inbox carries.
 const (
 	tagSpan uint8 = iota + 1
 	tagUncov

@@ -35,11 +35,10 @@ func hubRing(n, spacing, span int) *graph.Graph {
 	return g
 }
 
-// TestTwoSpannerMillionVertexStep is the scale contract of the
-// goroutine-free step engine: a full two-spanner run at n = 1,000,000 on
-// one box. The blocking engines cannot touch this size (a million
-// goroutine stacks); the step engine holds one small machine struct per
-// vertex and scans the active set. Skipped under -short — CI's full test
+// TestTwoSpannerMillionVertexStep is the scale contract of the step
+// engine: a full two-spanner run at n = 1,000,000 on one box. The engine
+// holds one small machine struct per vertex, with no goroutine or stack,
+// and scans the active set. Skipped under -short — CI's full test
 // job runs it.
 func TestTwoSpannerMillionVertexStep(t *testing.T) {
 	if testing.Short() {
@@ -50,7 +49,7 @@ func TestTwoSpannerMillionVertexStep(t *testing.T) {
 	}
 	const n = 1_000_000
 	g := hubRing(n, 2048, 256)
-	res, err := TwoSpanner(g, Options{Seed: 6, ExecMode: dist.ModeStep})
+	res, err := TwoSpanner(g, Options{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,42 +63,57 @@ func TestTwoSpannerMillionVertexStep(t *testing.T) {
 		n, res.Spanner.Len(), res.Iterations, res.Stats.Rounds, res.Stats.Messages)
 }
 
-// TestCrossModeByteEqualityLarge extends the cross-mode transcript
-// contract to the largest size the blocking engines share with the step
-// engine's scale range: at n = 4096 (the EventThreshold boundary) all
-// three modes must produce byte-identical outputs, rounds, and message
-// counts on both the busy G(n, 8/n) workload and the ring+chords
-// scale-test family.
+// runTwoSpannerProgram runs TwoSpannerProgram on g under run (the step
+// engine or the reference interpreter) and returns the spanner it
+// outputs and the run's Stats.
+func runTwoSpannerProgram(t *testing.T, run func(dist.Config, func(*dist.Ctx) dist.Machine) (*dist.Stats, error), cfg dist.Config) (*graph.EdgeSet, dist.Stats) {
+	t.Helper()
+	prog := TwoSpannerProgram(cfg.Graph, Options{Seed: cfg.Seed})
+	stats, err := run(cfg, prog.Factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := graph.NewEdgeSet(cfg.Graph.M())
+	for v := 0; v < cfg.Graph.N(); v++ {
+		for _, e := range prog.Output(v) {
+			h.Add(e)
+		}
+	}
+	return h, *stats
+}
+
+// TestCrossModeByteEqualityLarge extends the engine-vs-reference
+// transcript contract to a size where the engine shards its steps and
+// metering across workers: at n = 4096 the step engine and the
+// reference interpreter must produce byte-identical spanners and Stats
+// on both the busy G(n, 8/n) workload and the ring+chords scale-test
+// family.
 func TestCrossModeByteEqualityLarge(t *testing.T) {
 	if testing.Short() {
-		t.Skip("n=4096 cross-mode equality skipped in -short mode")
+		t.Skip("n=4096 engine-vs-reference equality skipped in -short mode")
 	}
 	const n = 4096
 	graphs := map[string]*graph.Graph{
 		"gnp":        gen.ConnectedGNP(n, 8.0/float64(n), 1),
 		"ringchords": ringChords(n),
 	}
-	modes := []dist.Mode{dist.ModeBarrier, dist.ModeEvent, dist.ModeStep}
 	for name, g := range graphs {
-		base, err := TwoSpanner(g, Options{Seed: 11, ExecMode: modes[0]})
+		cfg := dist.Config{Graph: g, Seed: 11}
+		engH, engStats := runTwoSpannerProgram(t, dist.RunMachines, cfg)
+		refH, refStats := runTwoSpannerProgram(t, dist.RunReference, cfg)
+		if !engH.Equal(refH) {
+			t.Fatalf("%s: spanner differs between the engine and the reference", name)
+		}
+		if engStats != refStats {
+			t.Fatalf("%s: stats differ:\nengine:    %+v\nreference: %+v", name, engStats, refStats)
+		}
+		// The public entry point runs the same program on the same engine.
+		res, err := TwoSpanner(g, Options{Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range modes[1:] {
-			res, err := TwoSpanner(g, Options{Seed: 11, ExecMode: mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !base.Spanner.Equal(res.Spanner) {
-				t.Fatalf("%s: spanner differs between %v and %v", name, modes[0], mode)
-			}
-			if base.Stats != res.Stats {
-				t.Fatalf("%s: stats differ between %v and %v:\n%+v\n%+v",
-					name, modes[0], mode, base.Stats, res.Stats)
-			}
-			if base.Iterations != res.Iterations || base.Cost != res.Cost {
-				t.Fatalf("%s: telemetry differs between %v and %v", name, modes[0], mode)
-			}
+		if !res.Spanner.Equal(engH) || res.Stats != engStats {
+			t.Fatalf("%s: TwoSpanner differs from its shard program", name)
 		}
 	}
 }

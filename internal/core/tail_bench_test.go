@@ -6,15 +6,17 @@ import (
 
 	"distspanner/internal/dist"
 	"distspanner/internal/gen"
+	"distspanner/internal/graph"
 	"distspanner/internal/mds"
 )
 
 // Real-algorithm tail benchmarks: the spanner/MDS runs whose late rounds
 // leave most vertices parked or retired — the regime the activity-aware
-// ports (Recv-parking, delta messaging) target, measured head-to-head
-// across the two scheduling modes. Custom metrics report rounds/sec plus
-// the per-round activity means, so the bench artifact records the
-// activity profile alongside the throughput trajectory.
+// protocols (parking, delta messaging) target. Custom metrics report
+// rounds/sec plus the per-round activity means, so the bench artifact
+// records the activity profile alongside the throughput trajectory. The
+// rows keep their mode=step names so the committed baselines stay
+// comparable across the retirement of the other engines.
 
 // reportTail attaches the shared tail metrics.
 func reportTail(b *testing.B, s dist.Stats) {
@@ -25,25 +27,38 @@ func reportTail(b *testing.B, s dist.Stats) {
 	}
 }
 
+// benchRuns runs one yardstick row: run b.N times on g, then report the
+// tail metrics of the last run.
+func benchRuns(b *testing.B, g *graph.Graph, run func(*graph.Graph) (dist.Stats, error)) {
+	b.Run(fmt.Sprintf("n=%d/mode=step", g.N()), func(b *testing.B) {
+		var stats dist.Stats
+		for i := 0; i < b.N; i++ {
+			var err error
+			if stats, err = run(g); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		reportTail(b, stats)
+	})
+}
+
+// twoSpannerStats runs the 2-spanner with opts and returns its Stats.
+func twoSpannerStats(opts Options) func(*graph.Graph) (dist.Stats, error) {
+	return func(g *graph.Graph) (dist.Stats, error) {
+		res, err := TwoSpanner(g, opts)
+		if err != nil {
+			return dist.Stats{}, err
+		}
+		return res.Stats, nil
+	}
+}
+
 // BenchmarkTwoSpannerTail runs the weighted 2-spanner on a core+fringe
-// instance at n >= 4096 under both schedulers.
+// instance at n >= 4096.
 func BenchmarkTwoSpannerTail(b *testing.B) {
 	for _, n := range []int{4096, 8192} {
-		g := tailInstance(512, n, 3)
-		for _, mode := range []dist.Mode{dist.ModeBarrier, dist.ModeEvent, dist.ModeStep} {
-			b.Run(fmt.Sprintf("n=%d/mode=%s", n, mode), func(b *testing.B) {
-				var stats dist.Stats
-				for i := 0; i < b.N; i++ {
-					res, err := TwoSpanner(g, Options{Seed: 1, ExecMode: mode})
-					if err != nil {
-						b.Fatal(err)
-					}
-					stats = res.Stats
-				}
-				b.StopTimer()
-				reportTail(b, stats)
-			})
-		}
+		benchRuns(b, tailInstance(512, n, 3), twoSpannerStats(Options{Seed: 1}))
 	}
 }
 
@@ -53,21 +68,7 @@ func BenchmarkTwoSpannerTail(b *testing.B) {
 // thousands stay parked. Smaller n keeps it benchable; the activity
 // profile, not the instance size, is the point.
 func BenchmarkTwoSpannerDeepTail(b *testing.B) {
-	g := tailInstance(96, 1024, 3)
-	for _, mode := range []dist.Mode{dist.ModeBarrier, dist.ModeEvent, dist.ModeStep} {
-		b.Run(fmt.Sprintf("n=%d/mode=%s", g.N(), mode), func(b *testing.B) {
-			var stats dist.Stats
-			for i := 0; i < b.N; i++ {
-				res, err := TwoSpanner(g, Options{Seed: 1, ExecMode: mode, NoRounding: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				stats = res.Stats
-			}
-			b.StopTimer()
-			reportTail(b, stats)
-		})
-	}
+	benchRuns(b, tailInstance(96, 1024, 3), twoSpannerStats(Options{Seed: 1, NoRounding: true}))
 }
 
 // BenchmarkTwoSpannerBusy is the tail-less counterweight to the tail
@@ -78,21 +79,7 @@ func BenchmarkTwoSpannerDeepTail(b *testing.B) {
 // This is the yardstick for the flat-buffer inbox path.
 func BenchmarkTwoSpannerBusy(b *testing.B) {
 	for _, n := range []int{4096, 8192} {
-		g := gen.ConnectedGNP(n, 8.0/float64(n), 1)
-		for _, mode := range []dist.Mode{dist.ModeBarrier, dist.ModeEvent, dist.ModeStep} {
-			b.Run(fmt.Sprintf("n=%d/mode=%s", n, mode), func(b *testing.B) {
-				var stats dist.Stats
-				for i := 0; i < b.N; i++ {
-					res, err := TwoSpanner(g, Options{Seed: 1, ExecMode: mode})
-					if err != nil {
-						b.Fatal(err)
-					}
-					stats = res.Stats
-				}
-				b.StopTimer()
-				reportTail(b, stats)
-			})
-		}
+		benchRuns(b, gen.ConnectedGNP(n, 8.0/float64(n), 1), twoSpannerStats(Options{Seed: 1}))
 	}
 }
 
@@ -100,20 +87,12 @@ func BenchmarkTwoSpannerBusy(b *testing.B) {
 // domination spreads in waves and the covered interior halts or parks.
 func BenchmarkMDSTail(b *testing.B) {
 	for _, n := range []int{4096, 8192} {
-		g := gen.ConnectedGNP(n, 8.0/float64(n), 1)
-		for _, mode := range []dist.Mode{dist.ModeBarrier, dist.ModeEvent, dist.ModeStep} {
-			b.Run(fmt.Sprintf("n=%d/mode=%s", n, mode), func(b *testing.B) {
-				var stats dist.Stats
-				for i := 0; i < b.N; i++ {
-					res, err := mds.Run(g, mds.Options{Seed: 1, ExecMode: mode})
-					if err != nil {
-						b.Fatal(err)
-					}
-					stats = res.Stats
-				}
-				b.StopTimer()
-				reportTail(b, stats)
-			})
-		}
+		benchRuns(b, gen.ConnectedGNP(n, 8.0/float64(n), 1), func(g *graph.Graph) (dist.Stats, error) {
+			res, err := mds.Run(g, mds.Options{Seed: 1})
+			if err != nil {
+				return dist.Stats{}, err
+			}
+			return res.Stats, nil
+		})
 	}
 }

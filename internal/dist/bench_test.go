@@ -7,20 +7,19 @@ import (
 	"distspanner/internal/graph"
 )
 
-// The execution-mode yardsticks for perf work, comparing the barrier
-// engine, the event-driven scheduler, and (where the protocol is a state
-// machine) the goroutine-free step engine across network sizes and
+// The engine yardsticks for perf work, across network sizes and
 // activity fractions:
 //
-//   - BenchmarkGoroutinePerVertex / BenchmarkWorkerPool / BenchmarkEventBusy:
-//     fully-busy gossip (every vertex broadcasts every round) — the
-//     worst case for the event scheduler, whose hand-off then touches
-//     every vertex anyway.
-//   - BenchmarkQuietRounds: one driver vertex, everyone else parked in
-//     Recv — the regime the spanner algorithms' tails live in, and the
-//     workload the event scheduler exists for.
+//   - BenchmarkMachineBusy: fully-busy record gossip (every vertex
+//     broadcasts every round) — every round steps and routes all n
+//     vertices.
+//   - BenchmarkQuietRounds: one driver vertex, everyone else parked —
+//     the regime the spanner algorithms' tails live in, where a round
+//     must cost O(#active), not O(n).
 //   - BenchmarkSparseActivity: a tunable fraction of active vertices,
-//     mapping the crossover between those extremes.
+//     mapping the ground between those extremes.
+//   - BenchmarkTraceOverhead*: the busy and quiet workloads with and
+//     without a (null) tracer, pricing the tracing hooks.
 //
 // All variants assert the protocol ran the expected number of rounds, so
 // a scheduling bug cannot masquerade as a speedup.
@@ -29,7 +28,7 @@ const benchRounds = 16
 
 // quietBenchRounds is deliberately larger: the quiet-round benchmarks
 // measure the steady-state cost of a round, so the per-run fixed cost of
-// spawning n vertex goroutines has to be amortized away.
+// building n vertex contexts has to be amortized away.
 const quietBenchRounds = 256
 
 // benchGraph is a ring with chords: degree 4, deterministic, cheap to
@@ -45,192 +44,71 @@ func benchGraph(n int) *graph.Graph {
 	return g
 }
 
-func benchProc(ctx *Ctx) {
-	for r := 0; r < benchRounds; r++ {
-		ctx.Broadcast(blob{val: r, size: 32})
-		for _, m := range ctx.NextRound() {
-			_ = m.Payload.(blob).val
-		}
-	}
-}
-
-// benchProcRec is benchProc on the flat-buffer record path: identical
-// traffic shape and metering, no boxed payloads. The boxed/record
-// benchmark pairs (…Busy vs …BusyRec) are the engine-level before/after
-// yardstick of the typed inbox in the CI bench artifact.
-func benchProcRec(ctx *Ctx) {
-	for r := 0; r < benchRounds; r++ {
-		ctx.BroadcastRec(Rec{Tag: 1, A: int64(r)}, 32)
-		for i := range ctx.NextRoundRecs() {
-			_ = i
-		}
-	}
-}
-
-func runEngineBenchmark(b *testing.B, n, workers int, mode Mode, proc func(*Ctx)) {
-	g := benchGraph(n)
+// runBench runs the machines b.N times on g, asserting the round count,
+// and reports rounds/sec.
+func runBench(b *testing.B, cfg Config, rounds int, factory func(*Ctx) Machine) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats, err := Run(Config{Graph: g, Seed: 1, Workers: workers, Mode: mode}, proc)
+		stats, err := RunMachines(cfg, factory)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if stats.Rounds != benchRounds {
+		if stats.Rounds != rounds {
 			b.Fatalf("rounds = %d", stats.Rounds)
 		}
 	}
 	b.StopTimer()
-	roundsPerSec := float64(benchRounds) * float64(b.N) / b.Elapsed().Seconds()
-	b.ReportMetric(roundsPerSec, "rounds/sec")
+	b.ReportMetric(float64(rounds)*float64(b.N)/b.Elapsed().Seconds(), "rounds/sec")
 }
 
-// quietProc is the sparse-activity extreme: vertex 0 drives the run,
-// pinging one neighbor every round; every other vertex parks in Recv and
-// is released by quiescence. Under the event scheduler a quiet round
-// wakes two vertices instead of n.
-func quietProc(ctx *Ctx) {
-	if ctx.ID() == 0 {
-		for r := 0; r < quietBenchRounds; r++ {
-			ctx.Send(ctx.Neighbors()[0], blob{val: r, size: 32})
-			ctx.NextRound()
-		}
-		return
-	}
-	for {
-		msgs, ok := ctx.Recv()
-		if !ok {
-			return
-		}
-		for _, m := range msgs {
-			_ = m.Payload.(blob).val
-		}
+// sparseMachine activates the first activeCount vertices (send to the
+// first neighbor and yield, every round); the rest park until a record
+// arrives and are released by quiescence. Actives near the boundary wake
+// a couple of parked vertices per round, as real protocol frontiers do.
+// activeCount 1 is the quiet extreme: one driver pinging one neighbor.
+func sparseMachine(activeCount int) func(*Ctx) Machine {
+	return func(c *Ctx) Machine {
+		round := 0
+		return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
+			for i := range in.Recs {
+				_ = in.Recs[i].A
+			}
+			if ctx.ID() >= activeCount {
+				if in.Quiesced {
+					return StepDone
+				}
+				return StepPark
+			}
+			if round == quietBenchRounds {
+				return StepDone
+			}
+			ctx.SendRec(ctx.Neighbors()[0], Rec{Tag: 1, A: int64(round)}, 32)
+			round++
+			return StepYield
+		})
 	}
 }
 
 func BenchmarkQuietRounds(b *testing.B) {
 	for _, n := range []int{256, 2048, 16384} {
-		for _, mode := range []Mode{ModeBarrier, ModeEvent} {
-			b.Run(fmt.Sprintf("n=%d/mode=%s", n, mode), func(b *testing.B) {
-				g := benchGraph(n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					stats, err := Run(Config{Graph: g, Seed: 1, Mode: mode}, quietProc)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if stats.Rounds != quietBenchRounds {
-						b.Fatalf("rounds = %d", stats.Rounds)
-					}
-				}
-				b.StopTimer()
-				roundsPerSec := float64(quietBenchRounds) * float64(b.N) / b.Elapsed().Seconds()
-				b.ReportMetric(roundsPerSec, "rounds/sec")
-			})
-		}
-	}
-}
-
-// sparseProc activates the first activeCount vertices (send + NextRound
-// every round); the rest park in Recv. Actives near the boundary wake a
-// couple of parked vertices per round, as real protocol frontiers do.
-func sparseProc(activeCount int) func(*Ctx) {
-	return func(ctx *Ctx) {
-		if ctx.ID() < activeCount {
-			for r := 0; r < quietBenchRounds; r++ {
-				ctx.Send(ctx.Neighbors()[0], blob{val: r, size: 32})
-				for _, m := range ctx.NextRound() {
-					_ = m.Payload.(blob).val
-				}
-			}
-			return
-		}
-		for {
-			msgs, ok := ctx.Recv()
-			if !ok {
-				return
-			}
-			for _, m := range msgs {
-				_ = m.Payload.(blob).val
-			}
-		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			runBench(b, Config{Graph: benchGraph(n), Seed: 1}, quietBenchRounds, sparseMachine(1))
+		})
 	}
 }
 
 func BenchmarkSparseActivity(b *testing.B) {
 	for _, n := range []int{2048, 16384} {
 		for _, pct := range []int{1, 10, 50} {
-			active := n * pct / 100
-			for _, mode := range []Mode{ModeBarrier, ModeEvent} {
-				b.Run(fmt.Sprintf("n=%d/active=%d%%/mode=%s", n, pct, mode), func(b *testing.B) {
-					g := benchGraph(n)
-					proc := sparseProc(active)
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						stats, err := Run(Config{Graph: g, Seed: 1, Mode: mode}, proc)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if stats.Rounds != quietBenchRounds {
-							b.Fatalf("rounds = %d", stats.Rounds)
-						}
-					}
-					b.StopTimer()
-					roundsPerSec := float64(quietBenchRounds) * float64(b.N) / b.Elapsed().Seconds()
-					b.ReportMetric(roundsPerSec, "rounds/sec")
-				})
-			}
+			b.Run(fmt.Sprintf("n=%d/active=%d%%", n, pct), func(b *testing.B) {
+				runBench(b, Config{Graph: benchGraph(n), Seed: 1}, quietBenchRounds, sparseMachine(n*pct/100))
+			})
 		}
 	}
 }
 
-func BenchmarkGoroutinePerVertex(b *testing.B) {
-	for _, n := range []int{256, 2048, 16384} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			runEngineBenchmark(b, n, -1, ModeBarrier, benchProc)
-		})
-	}
-}
-
-func BenchmarkWorkerPool(b *testing.B) {
-	for _, n := range []int{256, 2048, 16384} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			runEngineBenchmark(b, n, 0, ModeBarrier, benchProc) // auto: pool above PoolThreshold
-		})
-	}
-}
-
-func BenchmarkEventBusy(b *testing.B) {
-	for _, n := range []int{256, 2048, 16384} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			runEngineBenchmark(b, n, 0, ModeEvent, benchProc)
-		})
-	}
-}
-
-// The record-path twins: same fully-busy gossip through the flat-buffer
-// inbox. Comparing …Busy to …BusyRec in the bench artifact isolates what
-// the typed path saves over boxed payloads at identical traffic.
-func BenchmarkBarrierBusyRec(b *testing.B) {
-	for _, n := range []int{256, 2048, 16384} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			runEngineBenchmark(b, n, 0, ModeBarrier, benchProcRec)
-		})
-	}
-}
-
-func BenchmarkEventBusyRec(b *testing.B) {
-	for _, n := range []int{256, 2048, 16384} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			runEngineBenchmark(b, n, 0, ModeEvent, benchProcRec)
-		})
-	}
-}
-
-// benchMachine is benchProcRec as a state machine: the same fully-busy
-// record gossip, stepped instead of blocked. Running it under all three
-// modes isolates what the goroutine-free step engine saves over
-// goroutine hand-off at identical traffic — the engine-level yardstick
-// for ModeStep.
+// benchMachine is fully-busy record gossip: every vertex broadcasts one
+// record per round for benchRounds rounds.
 type benchMachine struct{ round int }
 
 func (m *benchMachine) Step(ctx *Ctx, in StepIn) StepStatus {
@@ -247,26 +125,15 @@ func (m *benchMachine) Step(ctx *Ctx, in StepIn) StepStatus {
 	return StepYield
 }
 
+func newBenchMachine(*Ctx) Machine { return &benchMachine{} }
+
+// BenchmarkMachineBusy keeps its mode=step row names so the committed
+// baselines stay comparable across the retirement of the other engines.
 func BenchmarkMachineBusy(b *testing.B) {
 	for _, n := range []int{256, 2048, 16384} {
-		for _, mode := range []Mode{ModeBarrier, ModeEvent, ModeStep} {
-			b.Run(fmt.Sprintf("n=%d/mode=%s", n, mode), func(b *testing.B) {
-				g := benchGraph(n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					stats, err := RunMachines(Config{Graph: g, Seed: 1, Mode: mode},
-						func(*Ctx) Machine { return &benchMachine{} })
-					if err != nil {
-						b.Fatal(err)
-					}
-					if stats.Rounds != benchRounds {
-						b.Fatalf("rounds = %d", stats.Rounds)
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(benchRounds)*float64(b.N)/b.Elapsed().Seconds(), "rounds/sec")
-			})
-		}
+		b.Run(fmt.Sprintf("n=%d/mode=step", n), func(b *testing.B) {
+			runBench(b, Config{Graph: benchGraph(n), Seed: 1}, benchRounds, newBenchMachine)
+		})
 	}
 }
 
@@ -291,19 +158,7 @@ func BenchmarkTraceOverheadBusy(b *testing.B) {
 			tr   Tracer
 		}{{"off", nil}, {"null", nullTracer{}}} {
 			b.Run(fmt.Sprintf("n=%d/tracer=%s", n, v.name), func(b *testing.B) {
-				g := benchGraph(n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					stats, err := Run(Config{Graph: g, Seed: 1, Mode: ModeBarrier, Tracer: v.tr}, benchProcRec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if stats.Rounds != benchRounds {
-						b.Fatalf("rounds = %d", stats.Rounds)
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(benchRounds)*float64(b.N)/b.Elapsed().Seconds(), "rounds/sec")
+				runBench(b, Config{Graph: benchGraph(n), Seed: 1, Tracer: v.tr}, benchRounds, newBenchMachine)
 			})
 		}
 	}
@@ -318,19 +173,7 @@ func BenchmarkTraceOverheadQuiet(b *testing.B) {
 		tr   Tracer
 	}{{"off", nil}, {"null", nullTracer{}}} {
 		b.Run(fmt.Sprintf("n=2048/tracer=%s", v.name), func(b *testing.B) {
-			g := benchGraph(2048)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				stats, err := Run(Config{Graph: g, Seed: 1, Mode: ModeEvent, Tracer: v.tr}, quietProc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if stats.Rounds != quietBenchRounds {
-					b.Fatalf("rounds = %d", stats.Rounds)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(quietBenchRounds)*float64(b.N)/b.Elapsed().Seconds(), "rounds/sec")
+			runBench(b, Config{Graph: benchGraph(2048), Seed: 1, Tracer: v.tr}, quietBenchRounds, sparseMachine(1))
 		})
 	}
 }

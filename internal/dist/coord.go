@@ -16,10 +16,10 @@ import (
 // OnRound hook, Phase snapshots). Everything per-vertex stays on the
 // workers. The decisions are taken in runStep's exact order with
 // runStep's exact error formats, which is what makes a distributed run
-// indistinguishable from an in-process ModeStep run: same Stats, same
+// indistinguishable from an in-process RunMachines run: same Stats, same
 // per-vertex trace digests, same errors.
 
-// ShardError is a worker-side failure (machine panic, boxed send,
+// ShardError is a worker-side failure (machine panic,
 // program resolution) surfaced through the protocol; the coordinator
 // aborts the run and returns it.
 type ShardError struct {
@@ -363,11 +363,8 @@ protocol:
 // calling goroutine, one ServeShard goroutine per shard, all sharing the
 // caller's factory through a resolver closure.
 func runSharded(cfg Config, factory func(*Ctx) Machine) (*Stats, error) {
-	if cfg.Graph == nil {
-		return nil, errors.New("dist: Config.Graph is nil")
-	}
-	if cfg.Mode != ModeAuto && cfg.Mode != ModeStep {
-		return nil, errors.New("dist: Config.Shards runs the step engine: Mode must be ModeAuto or ModeStep")
+	if err := checkConfig(cfg); err != nil {
+		return nil, err
 	}
 	resolver := func(string, *graph.Graph, int64) (ShardProgram, error) {
 		return ShardProgram{Factory: factory}, nil

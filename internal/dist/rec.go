@@ -2,39 +2,31 @@ package dist
 
 import "sort"
 
-// The flat-buffer typed inbox path. The boxed Message/Payload API routes
-// every payload through an interface value: senders box, the router copies
-// interface headers, and receivers type-switch per message. Protocols with
-// hot busy phases (every vertex broadcasting small state deltas every
-// round) pay that per-message overhead thousands of times per round, which
-// is what the record path removes:
+// The flat-buffer typed inbox: the engine's one payload family. Protocols
+// with hot busy phases (every vertex broadcasting small state deltas every
+// round) would pay a per-message interface box, copy, and type switch
+// thousands of times per round; records carry no interface anywhere on
+// their path:
 //
 //   - A Rec is a flat, type-tagged record: two scalar words, three floats,
-//     an optional []int tail, and a protocol-defined Tag/Flag pair. No
-//     interface boxing anywhere on its path.
+//     an optional []int tail, and a protocol-defined Tag/Flag pair.
 //   - Senders queue records with Ctx.SendRec into a per-vertex append-only
 //     out arena (record headers in one slice, int tails packed in
 //     another). Broadcasting the same record to many neighbors stages its
 //     tail once and shares the span.
 //   - The router copies records straight into the receivers' in arenas —
 //     contiguous, type-tagged, sender order preserved (ascending sender
-//     id, ties in send order, exactly like the boxed inbox).
-//   - Receivers iterate the arena in place via Ctx.NextRoundRecs /
-//     Ctx.RecvRecs. The returned records alias the arena (zero-copy): a
-//     record's Ints tail is a view into the inbox buffer, valid until the
-//     vertex's next blocking call. Arenas are truncated, never freed, so
-//     steady-state rounds allocate nothing.
+//     id, ties in send order).
+//   - Receivers iterate the arena in place via StepIn.Recs. The records
+//     alias the arena (zero-copy): a record's Ints tail is a view into the
+//     inbox buffer, valid only during the Step call that receives it.
+//     Arenas are truncated, never freed, so steady-state rounds allocate
+//     nothing.
 //
-// Metering: a record's bit size is supplied by the sender at SendRec time
-// (protocols compute it from the same accounting rules as a boxed
-// payload's Bits method), so Stats are identical whichever path a protocol
-// uses. Both engine modes share this delivery path; the determinism
-// contract (ARCHITECTURE.md) applies to records unchanged.
-//
-// A protocol should use one family — records or boxed payloads — for all
-// of its traffic. The engine delivers both (a mixed round wakes a parked
-// receiver either way), but NextRound returns only boxed messages and
-// NextRoundRecs only records, so mixed-family protocols must drain both.
+// Metering: a record's bit size is supplied by the sender at SendRec time;
+// protocols compute it from the accounting rules of the message it
+// encodes (see AuditPayloadFields). The determinism contract
+// (ARCHITECTURE.md) covers records end to end.
 
 // Rec is one flat typed record: the unit of the flat-buffer inbox path.
 // Tag identifies the record type (protocol-defined; zero is fine), Flag
@@ -52,9 +44,8 @@ type Rec struct {
 }
 
 // InRec is one delivered record: the sender id plus the record. Ints
-// aliases the receiving vertex's inbox arena — it is valid until the
-// vertex's next blocking call (NextRound/Recv in either flavor) and must
-// be copied if kept longer.
+// aliases the receiving vertex's inbox arena — it is valid only during
+// the Step call that receives it and must be copied if kept longer.
 type InRec struct {
 	From int
 	Rec
@@ -74,12 +65,12 @@ type outRec struct {
 }
 
 // SendRec queues rec for delivery to the neighbor to at the next round
-// boundary, metered at bits bits (negative is clamped to zero — compute
-// bits with the same accounting rules a boxed payload's Bits method would
-// use). rec.Ints is copied into the sender's arena: consecutive SendRec
-// calls passing the same Ints slice (a broadcast) stage the tail once and
-// share it. Like Send, sending to a non-neighbor panics, and sends are
-// committed by the vertex's next blocking call.
+// boundary, metered at bits bits (negative is clamped to zero). rec.Ints
+// is copied into the sender's arena: consecutive SendRec calls passing
+// the same Ints slice (a broadcast) stage the tail once and share it.
+// Sends are committed when the step returns — by StepYield, StepPark, or,
+// as last words, StepDone. Sending to a non-neighbor (or to yourself)
+// panics: the model only has channels along graph edges.
 func (c *Ctx) SendRec(to int, rec Rec, bits int) {
 	i := c.nbrIndex(to) // validates
 	c.ensureScratch()
@@ -116,28 +107,6 @@ func (c *Ctx) stageInts(ints []int) (off, n int32) {
 	return off, int32(len(ints))
 }
 
-// NextRoundRecs is NextRound for the record path: commit queued sends,
-// block until the round completes, and return the round's records sorted
-// by sender id (ties in send order). The returned slice and every
-// record's Ints tail alias the vertex's inbox arena: they are valid until
-// this vertex's next blocking call and must be copied if kept. After
-// quiescence it returns an empty inbox immediately, like NextRound.
-func (c *Ctx) NextRoundRecs() []InRec {
-	c.blockStep()
-	return c.takeRecs()
-}
-
-// RecvRecs is Recv for the record path: park until a round delivers at
-// least one message, returning that round's records and ok=true, or
-// (nil, false) once the network has quiesced. The same arena-aliasing
-// lifetime as NextRoundRecs applies.
-func (c *Ctx) RecvRecs() ([]InRec, bool) {
-	if !c.blockRecv() {
-		return nil, false
-	}
-	return c.takeRecs(), true
-}
-
 // takeRecs binds each delivered record's Ints view into the arena and
 // hands the batch to the vertex, truncating the arena for the next round
 // (capacity is kept: one allocation amortizes across all rounds).
@@ -153,16 +122,8 @@ func (c *Ctx) takeRecs() []InRec {
 	return recs
 }
 
-// takeMessages hands the boxed inbox to the vertex.
-func (c *Ctx) takeMessages() []Message {
-	inbox := c.inbox
-	c.inbox = nil
-	return inbox
-}
-
-// clearSends discards all queued-but-uncommitted sends of both families.
+// clearSends discards all queued-but-uncommitted sends.
 func (c *Ctx) clearSends() {
-	c.outbox = c.outbox[:0]
 	c.outRecs = c.outRecs[:0]
 	c.outInts = c.outInts[:0]
 	c.lastStaged = nil
@@ -183,7 +144,5 @@ func SeekPos(nbrs []int, j, from int) int {
 	return j + sort.SearchInts(nbrs[j:], from)
 }
 
-// hasSends reports whether any send (boxed or record) is queued.
-func (c *Ctx) hasSends() bool {
-	return len(c.outbox) > 0 || len(c.outRecs) > 0
-}
+// hasSends reports whether any record send is queued.
+func (c *Ctx) hasSends() bool { return len(c.outRecs) > 0 }

@@ -1,300 +1,205 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
-
-	"distspanner/internal/graph"
 )
 
-// Tests for the flat-buffer typed inbox path (rec.go): delivery order,
-// metering, arena reuse, quiescence, mixed-family runs, and randomized
-// cross-mode equivalence over tail-heavy and fault (early-retirement)
-// workloads. These all run under the CI -race job.
+// Tests for the flat-buffer typed inbox (rec.go): delivery order,
+// metering, arena reuse, parking, and randomized engine-vs-reference
+// equivalence over tail-heavy and fault (early-retirement) workloads.
+// These all run under the CI -race job.
 
 func TestRecDeliveryAndOrdering(t *testing.T) {
 	// Each vertex broadcasts one record naming itself; everyone must
 	// receive exactly its neighbors' records sorted by sender, with the
 	// scalar and tail fields intact, and the next round must be empty.
-	g := path(5)
-	got := make([][]int, g.N())
-	stats, err := Run(Config{Graph: g, Seed: 1}, func(ctx *Ctx) {
-		ctx.BroadcastRec(Rec{Tag: 3, Flag: 1, A: int64(ctx.ID()), F0: 0.5, Ints: []int{ctx.ID(), 99}}, 10)
-		var from []int
-		for _, r := range ctx.NextRoundRecs() {
-			if r.Tag != 3 || r.Flag != 1 || r.A != int64(r.From) || r.F0 != 0.5 {
-				t.Errorf("scalar fields corrupted: %+v", r)
+	forRunners(t, func(t *testing.T, run func(Config, func(*Ctx) Machine) (*Stats, error)) {
+		g := path(5)
+		got := make([][]int, g.N())
+		stats, err := run(Config{Graph: g, Seed: 1}, yieldThen(func(ctx *Ctx, in StepIn, step int) bool {
+			switch step {
+			case 0:
+				ctx.BroadcastRec(Rec{Tag: 3, Flag: 1, A: int64(ctx.ID()), F0: 0.5, Ints: []int{ctx.ID(), 99}}, 10)
+			case 1:
+				for _, r := range in.Recs {
+					if r.Tag != 3 || r.Flag != 1 || r.A != int64(r.From) || r.F0 != 0.5 {
+						t.Errorf("scalar fields corrupted: %+v", r)
+					}
+					if len(r.Ints) != 2 || r.Ints[0] != r.From || r.Ints[1] != 99 {
+						t.Errorf("tail corrupted: %+v", r)
+					}
+					got[ctx.ID()] = append(got[ctx.ID()], r.From)
+				}
+			default:
+				if len(in.Recs) != 0 {
+					t.Errorf("vertex %d received %d stale records", ctx.ID(), len(in.Recs))
+				}
 			}
-			if len(r.Ints) != 2 || r.Ints[0] != r.From || r.Ints[1] != 99 {
-				t.Errorf("tail corrupted: %+v", r)
-			}
-			from = append(from, r.From)
+			return step == 2
+		}))
+		if err != nil {
+			t.Fatal(err)
 		}
-		got[ctx.ID()] = from
-		if extra := ctx.NextRoundRecs(); len(extra) != 0 {
-			t.Errorf("vertex %d received %d stale records", ctx.ID(), len(extra))
+		want := [][]int{{1}, {0, 2}, {1, 3}, {2, 4}, {3}}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("inboxes = %v, want %v", got, want)
+		}
+		if stats.Messages != 8 || stats.TotalBits != 80 || stats.MaxMessageBits != 10 {
+			t.Fatalf("metering wrong: %+v", stats)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]int{{1}, {0, 2}, {1, 3}, {2, 4}, {3}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("inboxes = %v, want %v", got, want)
-	}
-	if stats.Messages != 8 || stats.TotalBits != 80 || stats.MaxMessageBits != 10 {
-		t.Fatalf("metering wrong: %+v", stats)
-	}
-}
-
-func TestRecMeteringMatchesBoxed(t *testing.T) {
-	// A record-path run and a boxed run of the same traffic shape must
-	// meter identically: bits are sender-declared either way.
-	g := clique(6)
-	boxed := func(ctx *Ctx) {
-		for r := 0; r < 4; r++ {
-			ctx.Broadcast(blob{val: r, size: 17})
-			ctx.NextRound()
-		}
-	}
-	recs := func(ctx *Ctx) {
-		for r := 0; r < 4; r++ {
-			ctx.BroadcastRec(Rec{Tag: 1, A: int64(r)}, 17)
-			ctx.NextRoundRecs()
-		}
-	}
-	sb, err := Run(Config{Graph: g, Seed: 1}, boxed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, err := Run(Config{Graph: g, Seed: 1}, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *sb != *sr {
-		t.Fatalf("record metering diverged from boxed:\nboxed: %+v\nrecs:  %+v", sb, sr)
-	}
 }
 
 func TestRecBandwidthEnforced(t *testing.T) {
-	// Record bits count against the per-edge budget exactly like payload
-	// bits, including accumulation across records on one edge.
-	g := path(2)
-	_, err := Run(Config{Graph: g, Seed: 1, Bandwidth: 64, Enforce: true}, func(ctx *Ctx) {
-		if ctx.ID() == 0 {
-			ctx.SendRec(1, Rec{Tag: 1}, 40)
-			ctx.SendRec(1, Rec{Tag: 2}, 40)
+	// Record bits count against the per-edge budget, including
+	// accumulation across records on one edge, and a budget that is met
+	// exactly is no violation.
+	forRunners(t, func(t *testing.T, run func(Config, func(*Ctx) Machine) (*Stats, error)) {
+		send := func(bits ...int) func(*Ctx) Machine {
+			return yieldThen(func(ctx *Ctx, _ StepIn, step int) bool {
+				if step == 0 && ctx.ID() == 0 {
+					for i, b := range bits {
+						ctx.SendRec(1, Rec{Tag: uint8(i)}, b)
+					}
+				}
+				return step == 1
+			})
 		}
-		ctx.NextRoundRecs()
+		if _, err := run(Config{Graph: path(2), Seed: 1, Bandwidth: 64, Enforce: true}, send(40, 40)); !errors.Is(err, ErrBandwidth) {
+			t.Fatalf("accumulated record traffic not enforced: err = %v", err)
+		}
+		if _, err := run(Config{Graph: path(2), Seed: 1, Bandwidth: 64, Enforce: true}, send(40, 24)); err != nil {
+			t.Fatalf("traffic at the budget rejected: %v", err)
+		}
 	})
-	if err == nil {
-		t.Fatal("accumulated record traffic not enforced")
-	}
 }
 
 func TestRecCutBits(t *testing.T) {
-	g := path(4)
+	// Cut metering with records of different sizes on each side.
 	cut := []bool{false, false, true, true}
-	stats, err := Run(Config{Graph: g, Seed: 1, CutSide: cut}, func(ctx *Ctx) {
-		ctx.BroadcastRec(Rec{Tag: 1}, 7)
-		ctx.NextRoundRecs()
+	forRunners(t, func(t *testing.T, run func(Config, func(*Ctx) Machine) (*Stats, error)) {
+		stats, err := run(Config{Graph: path(4), Seed: 1, CutSide: cut}, yieldThen(func(ctx *Ctx, _ StepIn, step int) bool {
+			if step == 0 {
+				ctx.BroadcastRec(Rec{Tag: 1}, 7+ctx.ID())
+			}
+			return step == 1
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.CutBits != 8+9 { // 1->2 and 2->1
+			t.Fatalf("CutBits = %d, want 17", stats.CutBits)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.CutBits != 14 { // 1->2 and 2->1
-		t.Fatalf("CutBits = %d, want 14", stats.CutBits)
-	}
 }
 
 func TestRecArenaReusedAcrossRounds(t *testing.T) {
 	// The whole point of the arena: after warm-up, steady-state rounds
-	// append into retained buffers. Assert the returned views stay
+	// append into retained buffers. Assert the delivered views stay
 	// correct round over round while the backing arrays are reused
 	// (record contents must never bleed between rounds).
-	g := clique(4)
-	_, err := Run(Config{Graph: g, Seed: 1}, func(ctx *Ctx) {
-		for r := 0; r < 8; r++ {
-			ctx.BroadcastRec(Rec{Tag: uint8(r + 1), A: int64(r), Ints: []int{r, r, r}}, 5)
-			for _, in := range ctx.NextRoundRecs() {
-				if in.Tag != uint8(r+1) || in.A != int64(r) {
-					t.Errorf("round %d: stale header %+v", r, in)
-				}
-				for _, x := range in.Ints {
-					if x != r {
-						t.Errorf("round %d: stale tail %v", r, in.Ints)
+	forRunners(t, func(t *testing.T, run func(Config, func(*Ctx) Machine) (*Stats, error)) {
+		_, err := run(Config{Graph: clique(4), Seed: 1}, yieldThen(func(ctx *Ctx, in StepIn, step int) bool {
+			if step > 0 {
+				r := step - 1
+				for _, rec := range in.Recs {
+					if rec.Tag != uint8(r+1) || rec.A != int64(r) {
+						t.Errorf("round %d: stale header %+v", r, rec)
+					}
+					for _, x := range rec.Ints {
+						if x != r {
+							t.Errorf("round %d: stale tail %v", r, rec.Ints)
+						}
 					}
 				}
 			}
+			if step == 8 {
+				return true
+			}
+			ctx.BroadcastRec(Rec{Tag: uint8(step + 1), A: int64(step), Ints: []int{step, step, step}}, 5)
+			return false
+		}))
+		if err != nil {
+			t.Fatal(err)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestRecRecvParksAndQuiesces(t *testing.T) {
-	// Vertex 0 drives three waves, then everyone quiesces: RecvRecs must
-	// deliver each wave and then report ok=false everywhere.
-	for _, mode := range []Mode{ModeBarrier, ModeEvent} {
+	// Vertex 0 drives three waves, then everyone quiesces: parked relays
+	// must wake for each wave and then be released by quiescence.
+	forRunners(t, func(t *testing.T, run func(Config, func(*Ctx) Machine) (*Stats, error)) {
 		g := path(8)
 		waves := make([]int, g.N())
-		stats, err := Run(Config{Graph: g, Seed: 1, Mode: mode}, func(ctx *Ctx) {
-			if ctx.ID() == 0 {
-				for r := 0; r < 3; r++ {
-					ctx.SendRec(1, Rec{Tag: 1, A: int64(r)}, 8)
-					ctx.NextRoundRecs()
+		stats, err := run(Config{Graph: g, Seed: 1}, func(*Ctx) Machine {
+			step := 0
+			return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
+				defer func() { step++ }()
+				if ctx.ID() == 0 {
+					if step == 3 {
+						return StepDone
+					}
+					ctx.SendRec(1, Rec{Tag: 1, A: int64(step)}, 8)
+					return StepYield
 				}
-				return
-			}
-			for {
-				msgs, ok := ctx.RecvRecs()
-				if !ok {
-					return
+				if in.Quiesced {
+					return StepDone
 				}
-				if len(msgs) == 0 {
-					t.Errorf("vertex %d woken with an empty record inbox", ctx.ID())
+				if !in.Start {
+					if len(in.Recs) == 0 {
+						t.Errorf("vertex %d woken with an empty record inbox", ctx.ID())
+					}
+					waves[ctx.ID()] += len(in.Recs)
+					// Relay one hop down the path.
+					if next := ctx.ID() + 1; next < ctx.N() {
+						ctx.SendRec(next, Rec{Tag: 1, A: in.Recs[0].A}, 8)
+					}
 				}
-				waves[ctx.ID()] += len(msgs)
-				// Relay one hop down the path.
-				if next := ctx.ID() + 1; next < ctx.N() {
-					ctx.SendRec(next, Rec{Tag: 1, A: msgs[0].A}, 8)
-				}
-			}
+				return StepPark
+			})
 		})
 		if err != nil {
-			t.Fatalf("mode=%v: %v", mode, err)
+			t.Fatal(err)
 		}
 		for v := 1; v < g.N(); v++ {
 			if waves[v] != 3 {
-				t.Fatalf("mode=%v: vertex %d saw %d waves, want 3", mode, v, waves[v])
+				t.Fatalf("vertex %d saw %d waves, want 3", v, waves[v])
 			}
 		}
 		if stats.Messages != 3*7 {
-			t.Fatalf("mode=%v: Messages = %d, want 21", mode, stats.Messages)
-		}
-	}
-}
-
-func TestRecMixedFamiliesInOneRun(t *testing.T) {
-	// The engine delivers both families in one round: boxed payloads via
-	// NextRound, records via NextRoundRecs, either one waking a parked
-	// receiver. Vertex 1 receives a boxed message and a record in the
-	// same round and must see both through the matching accessors.
-	g := path(3)
-	_, err := Run(Config{Graph: g, Seed: 1}, func(ctx *Ctx) {
-		switch ctx.ID() {
-		case 0:
-			ctx.Send(1, blob{val: 5, size: 8})
-			ctx.NextRound()
-		case 2:
-			ctx.SendRec(1, Rec{Tag: 9, A: 6}, 8)
-			ctx.NextRound()
-		case 1:
-			msgs, ok := ctx.Recv()
-			if !ok {
-				t.Error("vertex 1 quiesced before delivery")
-				return
-			}
-			recs := ctx.takeRecs() // drain the record half of the mixed round
-			if len(msgs) != 1 || msgs[0].Payload.(blob).val != 5 {
-				t.Errorf("boxed half wrong: %+v", msgs)
-			}
-			if len(recs) != 1 || recs[0].Tag != 9 || recs[0].A != 6 {
-				t.Errorf("record half wrong: %+v", recs)
-			}
+			t.Fatalf("Messages = %d, want 21", stats.Messages)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
-// recChaosProc is a randomized record protocol mixing yields, parks,
-// broadcasts with shared tails, targeted sends, and early retirement
-// (faults): vertices whose RNG rolls a fault retire mid-run while peers
-// keep sending to them. Every delivered record folds into a per-vertex
-// hash, so any divergence in content, order, or lifecycle shows up.
-func recChaosProc(rounds int, out []int64) func(*Ctx) {
-	return func(ctx *Ctx) {
-		h := int64(ctx.ID())
-		defer func() { out[ctx.ID()] = h }()
-		for r := 0; r < rounds; r++ {
-			if ctx.Rand().Intn(16) == 0 {
-				h = h*31 + 13 // fault: retire early
-				return
-			}
-			roll := ctx.Rand().Intn(8)
-			switch {
-			case roll == 0 && ctx.Degree() > 0:
-				// Broadcast with a shared tail.
-				tail := []int{r, ctx.ID()}
-				ctx.BroadcastRec(Rec{Tag: 2, A: int64(r), Ints: tail}, 32)
-			case roll < 3 && ctx.Degree() > 0:
-				to := ctx.Neighbors()[ctx.Rand().Intn(ctx.Degree())]
-				ctx.SendRec(to, Rec{Tag: 1, B: int64(to), F1: float64(r)}, 16)
-			}
-			var msgs []InRec
-			if roll >= 6 {
-				var ok bool
-				msgs, ok = ctx.RecvRecs()
-				if !ok {
-					h = h*31 + 7
-					return
-				}
-			} else {
-				msgs = ctx.NextRoundRecs()
-			}
-			for i := range msgs {
-				m := &msgs[i]
-				h = h*31 + int64(m.From)<<2 + int64(m.Tag) + m.A + m.B
-				for _, x := range m.Ints {
-					h = h*33 + int64(x)
-				}
-			}
-		}
-	}
-}
-
-// TestRecCrossModeChaosEquivalence is the record-path analogue of
-// TestCrossModeChaosEquivalence: outputs and the full Stats must be
-// bit-identical across the barrier engine, the worker-pool barrier, and
-// the event scheduler, on topologies covering tail-heavy (sparse, mostly
-// parked) and fault-prone (random early retirement) executions.
+// TestRecCrossModeChaosEquivalence runs the chaos machine with no
+// OnRound hook and no tracer — the engine's unobserved fast path, which
+// skips delivery metering — and requires the outputs and Stats of the
+// observed reference run.
 func TestRecCrossModeChaosEquivalence(t *testing.T) {
-	graphs := map[string]*graph.Graph{
-		"clique16":   clique(16),
-		"path33":     path(33),
-		"ring64":     benchGraph(64),
-		"sparse2x40": func() *graph.Graph { g := graph.New(80); g.AddEdge(0, 79); return g }(),
-	}
-	for name, g := range graphs {
+	for name, g := range chaosGraphs() {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				var ref []int64
-				var refStats Stats
-				for i, cfg := range []Config{
-					{Graph: g, Seed: seed, Mode: ModeBarrier},
-					{Graph: g, Seed: seed, Mode: ModeBarrier, Workers: 3},
-					{Graph: g, Seed: seed, Mode: ModeEvent},
-					{Graph: g, Seed: seed, Mode: ModeEvent, Workers: 3},
-				} {
-					out := make([]int64, g.N())
-					stats, err := Run(cfg, recChaosProc(12, out))
-					if err != nil {
-						t.Fatalf("config %d: %v", i, err)
-					}
-					if i == 0 {
-						ref, refStats = out, *stats
-						continue
-					}
-					if !reflect.DeepEqual(ref, out) {
-						t.Fatalf("config %d (mode=%v workers=%d) diverged from barrier reference", i, cfg.Mode, cfg.Workers)
-					}
-					if refStats != *stats {
-						t.Fatalf("config %d stats diverged:\nref: %+v\ngot: %+v", i, refStats, *stats)
-					}
+				mk := func(out []int64) func(*Ctx) Machine {
+					return func(*Ctx) Machine { return &chaosMachine{out: out, rounds: 12} }
+				}
+				out := make([]int64, g.N())
+				stats, err := RunMachines(Config{Graph: g, Seed: seed}, mk(out))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := observe(RunReference, Config{Graph: g, Seed: seed}, mk)
+				if ref.err != nil {
+					t.Fatal(ref.err)
+				}
+				if !reflect.DeepEqual(out, ref.out) {
+					t.Fatal("unobserved engine run diverged from the reference outputs")
+				}
+				if *stats != *ref.stats {
+					t.Fatalf("stats diverged:\nengine:    %+v\nreference: %+v", *stats, *ref.stats)
 				}
 			})
 		}
@@ -302,45 +207,34 @@ func TestRecCrossModeChaosEquivalence(t *testing.T) {
 }
 
 // TestRecTailHeavyCrossMode drives a tail-heavy record workload — one
-// active core, a long parked fringe woken in waves — and asserts output
-// and Stats equality across modes, the regime the spanner tails live in.
+// active core, a long parked fringe woken in waves — and holds the
+// engine to the reference, the regime the spanner tails live in.
 func TestRecTailHeavyCrossMode(t *testing.T) {
-	g := benchGraph(96)
-	proc := func(ctx *Ctx) {
-		if ctx.ID() < 4 {
-			for r := 0; r < 24; r++ {
-				to := ctx.Neighbors()[r%ctx.Degree()]
-				ctx.SendRec(to, Rec{Tag: 1, A: int64(r), Ints: []int{r}}, 12)
-				ctx.NextRoundRecs()
-			}
-			return
+	o := matchReference(t, Config{Graph: benchGraph(96), Seed: 9}, func([]int64) func(*Ctx) Machine {
+		return func(*Ctx) Machine {
+			step := 0
+			return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
+				defer func() { step++ }()
+				if ctx.ID() < 4 {
+					if step == 24 {
+						return StepDone
+					}
+					to := ctx.Neighbors()[step%ctx.Degree()]
+					ctx.SendRec(to, Rec{Tag: 1, A: int64(step), Ints: []int{step}}, 12)
+					return StepYield
+				}
+				if in.Quiesced {
+					return StepDone
+				}
+				// Occasionally ripple one record outward.
+				if !in.Start && in.Recs[0].A%5 == 0 {
+					ctx.SendRec(ctx.Neighbors()[0], Rec{Tag: 1, A: in.Recs[0].A + 100}, 12)
+				}
+				return StepPark
+			})
 		}
-		for {
-			msgs, ok := ctx.RecvRecs()
-			if !ok {
-				return
-			}
-			// Occasionally ripple one record outward.
-			if msgs[0].A%5 == 0 {
-				ctx.SendRec(ctx.Neighbors()[0], Rec{Tag: 1, A: msgs[0].A + 100}, 12)
-			}
-		}
-	}
-	var ref Stats
-	for i, mode := range []Mode{ModeBarrier, ModeEvent} {
-		stats, err := Run(Config{Graph: g, Seed: 9, Mode: mode}, proc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			ref = *stats
-			continue
-		}
-		if ref != *stats {
-			t.Fatalf("tail-heavy stats diverged across modes:\nbarrier: %+v\nevent:   %+v", ref, stats)
-		}
-		if stats.ParkedSteps == 0 {
-			t.Fatal("tail-heavy workload recorded no parked steps")
-		}
+	})
+	if o.stats.ParkedSteps == 0 {
+		t.Fatal("tail-heavy workload recorded no parked steps")
 	}
 }

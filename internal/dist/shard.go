@@ -4,14 +4,14 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 )
 
 // The worker half of the sharded runner: ServeShard owns a contiguous
-// vertex range and drives it with the ModeStep machinery (stepMachines,
-// stepEpilogue, meterSender — the same code paths as runStep), while the
-// round/quiescence decisions move to the coordinator (coord.go). The
-// loop is runStep with its global checks replaced by protocol frames:
+// vertex range and drives it with the engine's step machinery
+// (stepMachines, stepEpilogue, meterSender — the same code paths as
+// runStep), while the round/quiescence decisions move to the
+// coordinator (coord.go). The loop is runStep with its global checks
+// replaced by protocol frames:
 //
 //	step actives            → classify, pre-meter, ship batches (FrameRound)
 //	receive inbound batches (FrameBatches)
@@ -26,7 +26,7 @@ import (
 // within its own shard's position, its own dirty senders in ascending id
 // — with a contiguous partition that is exactly route's global
 // ascending-sender order, so per-vertex trace transcripts (and arena
-// inbox order) come out identical to the in-process engines.
+// inbox order) come out identical to the in-process engine.
 
 // shardRecorder buffers the worker's per-vertex trace events for the
 // ResultFrame. Phase snapshots are emitted by the coordinator (it owns
@@ -165,14 +165,13 @@ func newShardWorker(wt WorkerTransport, su *SetupFrame, resolve ProgramResolver)
 		tr = rec
 	}
 	e := &engine{
-		g: g, n: n, mode: ModeStep,
+		g: g, n: n,
 		bandwidth: su.Bandwidth,
 		cut:       su.Cut,
 		routePar:  1,
 		stepPar:   runtime.GOMAXPROCS(0),
 		tracer:    tr,
 	}
-	e.cond = sync.NewCond(&e.mu)
 	e.ctxs = make([]*Ctx, n)
 	w := &shardWorker{
 		wt: wt, e: e, shard: su.Shard, workers: su.Workers, cuts: su.Cuts,
@@ -187,7 +186,7 @@ func newShardWorker(wt WorkerTransport, su *SetupFrame, resolve ProgramResolver)
 		output:    prog.Output,
 	}
 	for v := lo; v < hi; v++ {
-		c := newCtx(e, v, su.Seed)
+		c := newCtx(g, v, su.Seed)
 		e.ctxs[v] = c
 		w.machines[v] = prog.Factory(c)
 		w.ins[v] = StepIn{Start: true}
@@ -203,11 +202,7 @@ func (w *shardWorker) run() error {
 		if w.e.abort != nil {
 			return w.failRound(w.e.abort)
 		}
-		rf, err := w.classify()
-		if err != nil {
-			return w.failRound(err)
-		}
-		if err := w.wt.Send(&Frame{Type: FrameRound, Round: rf}); err != nil {
+		if err := w.wt.Send(&Frame{Type: FrameRound, Round: w.classify()}); err != nil {
 			return err
 		}
 		f, err := w.wt.Recv()
@@ -242,7 +237,6 @@ func (w *shardWorker) run() error {
 			w.commit(in, d.Round)
 		case DecideQuiesce:
 			w.applyDrop()
-			w.e.quiesced = true
 			var epErr error
 			for v := w.lo; v < w.hi; v++ {
 				c := w.e.ctxs[v]
@@ -270,7 +264,7 @@ func (w *shardWorker) run() error {
 	}
 }
 
-// failRound reports a local failure (machine panic, boxed send) on the
+// failRound reports a local failure (a machine panic) on the
 // current iteration's RoundFrame, drains to the abort decision, and
 // ships the final ResultFrame carrying the same error.
 func (w *shardWorker) failRound(cause error) error {
@@ -289,7 +283,7 @@ func (w *shardWorker) failRound(cause error) error {
 // sender (meterSender is round-independent, so metering can happen
 // before the coordinator assigns the round number), and pack the
 // cross-shard batches.
-func (w *shardWorker) classify() (*RoundFrame, error) {
+func (w *shardWorker) classify() *RoundFrame {
 	rf := &RoundFrame{Stepped: len(w.active)}
 	w.yielded = w.yielded[:0]
 	w.dirty = w.dirty[:0]
@@ -310,12 +304,10 @@ func (w *shardWorker) classify() (*RoundFrame, error) {
 		case StepDone:
 			c.done = true
 			w.e.traceBlocked(TraceRetire, c.id)
-			// Retire-flush: a retiring vertex's sends are committed by the
-			// retirement itself (see engine.finish).
+			// Retire-flush: a retiring vertex's sends are its last words,
+			// committed by the retirement itself.
 			if c.hasSends() {
 				w.dirty = append(w.dirty, c)
-			} else {
-				c.clearSends()
 			}
 			w.doneCnt++
 		}
@@ -328,9 +320,6 @@ func (w *shardWorker) classify() (*RoundFrame, error) {
 	rf.Meter = MeterReport{ViolSender: -1}
 	rf.Out = make([]RecBatch, w.workers)
 	for _, c := range w.dirty {
-		if len(c.outbox) > 0 {
-			return nil, fmt.Errorf("%w (vertex %d queued a boxed payload; use SendRec)", ErrBoxedSend, c.id)
-		}
 		rf.Meter.fold(c.id, w.e.meterSender(c))
 		for ri := range c.outRecs {
 			o := &c.outRecs[ri]
@@ -345,10 +334,10 @@ func (w *shardWorker) classify() (*RoundFrame, error) {
 			rf.Out[dst].add(c.id, o, tail)
 		}
 	}
-	return rf, nil
+	return rf
 }
 
-// wakeScan is the dry half of flushWakesLocked plus the delivery
+// wakeScan is the dry half of flushWakes plus the delivery
 // counters: scan every pending delivery into this shard — own-local
 // sends still sitting in the sender arenas plus the inbound batches —
 // without applying anything.
@@ -399,11 +388,11 @@ func (w *shardWorker) commit(in []RecBatch, r int) {
 	w.parkedCnt -= len(w.woken)
 	w.active = w.active[:0]
 	for _, c := range w.yielded {
-		w.ins[c.id] = StepIn{Recs: c.takeRecs(), Msgs: c.takeMessages()}
+		w.ins[c.id] = StepIn{Recs: c.takeRecs()}
 		w.active = append(w.active, c)
 	}
 	for _, c := range w.woken {
-		w.ins[c.id] = StepIn{Recs: c.takeRecs(), Msgs: c.takeMessages()}
+		w.ins[c.id] = StepIn{Recs: c.takeRecs()}
 		w.active = append(w.active, c)
 	}
 	w.woken = w.woken[:0]
@@ -488,8 +477,7 @@ func (w *shardWorker) deliver(from, to int, rec Rec, bits int64, tail []int) {
 	}
 }
 
-// discard drops all pending sends on an abort, like the blocking
-// engines' unwind path.
+// discard drops all pending sends on an abort.
 func (w *shardWorker) discard() {
 	for _, c := range w.dirty {
 		c.clearSends()

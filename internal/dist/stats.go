@@ -1,17 +1,17 @@
 package dist
 
 // Stats is the engine's accounting of one run. All quantities are
-// deterministic functions of (Config, procedure): two runs with the same
+// deterministic functions of (Config, protocol): two runs with the same
 // configuration produce identical Stats.
 type Stats struct {
-	// Rounds is the number of synchronous rounds executed: the maximum
-	// number of NextRound calls made by any vertex.
+	// Rounds is the number of synchronous rounds completed (see the
+	// package accounting model).
 	Rounds int
-	// Messages is the total number of payloads sent.
+	// Messages is the total number of records sent.
 	Messages int64
-	// TotalBits is the total metered size of all payloads.
+	// TotalBits is the total metered size of all records.
 	TotalBits int64
-	// MaxMessageBits is the size of the largest single payload — the
+	// MaxMessageBits is the size of the largest single record — the
 	// LOCAL-vs-CONGEST telltale for individual messages.
 	MaxMessageBits int
 	// MaxEdgeRoundBits is the maximum number of bits carried by one
@@ -27,19 +27,19 @@ type Stats struct {
 	// violation aborts the run instead.
 	BandwidthViolations int64
 	// ActiveSteps is the total number of vertex steps over all completed
-	// rounds: each round contributes the number of vertices that ran
-	// during it (ended the round by yielding in NextRound, parking in
-	// Recv, or retiring). A protocol where every vertex spins NextRound
-	// has ActiveSteps ≈ Rounds × n; an activity-aware protocol whose idle
-	// vertices park in Recv has ActiveSteps ≈ Σ_r #active(r) — the
-	// quantity the event-driven scheduler's round cost is proportional
-	// to. ActiveSteps/Rounds is the mean active-vertex count per round.
+	// rounds: each round contributes the number of vertices stepped
+	// during it (they yielded, parked, or retired). A protocol where
+	// every vertex yields every round has ActiveSteps ≈ Rounds × n; an
+	// activity-aware protocol whose idle vertices park has ActiveSteps ≈
+	// Σ_r #active(r) — the quantity the engine's round cost is
+	// proportional to. ActiveSteps/Rounds is the mean active-vertex count
+	// per round.
 	ActiveSteps int64
 	// ParkedSteps is the sum over completed rounds of the number of
-	// vertices parked in Recv when the round's deliveries were out (a
-	// vertex woken by a delivery counts as active, not parked, in that
-	// round). ParkedSteps/Rounds is the mean parked-vertex count per
-	// round; parked vertices cost the event scheduler zero wakeups.
+	// vertices parked when the round's deliveries were out (a vertex
+	// woken by a delivery counts as active, not parked, in that round).
+	// ParkedSteps/Rounds is the mean parked-vertex count per round;
+	// parked vertices cost the engine nothing.
 	ParkedSteps int64
 	// PeakActive is the maximum single-round active-vertex count.
 	PeakActive int
@@ -48,37 +48,37 @@ type Stats struct {
 // RoundActivity is the per-round activity snapshot passed to
 // Config.OnRound (and Tracer.Phase) after each completed round. Every
 // field is a deterministic function of (Config.Graph, Config.Seed,
-// procedure) and identical across the three execution modes — the
-// cross-mode equivalence tests assert this, and the snapshot is part of
-// the logical transcript that trace.Digest hashes. Field by field:
+// protocol) — the engine-vs-reference tests assert this, and the
+// snapshot is part of the logical transcript that trace.Digest hashes.
+// Field by field:
 //
 //   - Round: deterministic; rounds complete in the same order and count
-//     in every mode.
-//   - Active, Parked, Senders: deterministic; which vertices block,
-//     park, or send in a round depends only on delivered messages and
-//     per-vertex RNG streams, never on scheduling.
+//     on every runner.
+//   - Active, Parked, Senders: deterministic; which vertices yield,
+//     park, or send in a round depends only on delivered records and
+//     per-vertex RNG streams, never on how steps are sharded.
 //   - Delivered, DeliveredBits: deterministic when computed. They are
 //     only accumulated when Config.OnRound or Config.Tracer is set
-//     (delivery-side accounting re-sizes each payload, a cost the bare
-//     hot path must not pay) and read as zero otherwise.
+//     (delivery-side accounting is a cost the bare hot path must not
+//     pay) and read as zero otherwise.
 type RoundActivity struct {
 	// Round is the 1-based number of the round that just completed.
 	Round int
-	// Active is the number of vertices that ran during the round: they
-	// ended it by yielding (NextRound), parking (Recv), or retiring.
+	// Active is the number of vertices stepped during the round: they
+	// ended it by yielding, parking, or retiring.
 	Active int
-	// Parked is the number of vertices still parked in Recv after the
-	// round's deliveries (woken receivers count as active next round).
+	// Parked is the number of vertices still parked after the round's
+	// deliveries (woken receivers count as active next round).
 	Parked int
 	// Senders is the number of vertices that committed at least one send
 	// this round.
 	Senders int
-	// Delivered is the number of payloads the round's routing placed in
+	// Delivered is the number of records the round's routing placed in
 	// live inboxes — sends to already-retired vertices are metered in
 	// Stats but not delivered, so Delivered <= the round's share of
 	// Stats.Messages. Zero unless OnRound or Tracer is configured.
 	Delivered int
-	// DeliveredBits is the total metered size of the Delivered payloads.
+	// DeliveredBits is the total metered size of the Delivered records.
 	// Zero unless OnRound or Tracer is configured.
 	DeliveredBits int64
 }

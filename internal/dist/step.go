@@ -1,19 +1,17 @@
 package dist
 
 import (
-	"runtime"
 	"sync"
 	"time"
 )
 
-// The ModeStep scheduler: vertices are explicit state machines stepped
+// The engine's scheduler: vertices are explicit state machines stepped
 // by a sharded run-to-completion loop on the caller's goroutine. There
-// is no per-vertex goroutine, no parking, no channel hand-off — vertex
-// resume state lives in the Machine values and the flat Ctx arenas, and
-// a round is one scan over the active set. The loop shares routing,
-// metering, activity accounting, and the quiescence/retire-flush rules
-// with the blocking engines (routeLocked, recordRoundLocked,
-// flushWakesLocked), which is what keeps all three modes bit-identical.
+// is no per-vertex goroutine and no channel hand-off — vertex resume
+// state lives in the Machine values and the flat Ctx arenas, and a round
+// is one scan over the active set. The sharded runner (shard.go) reuses
+// the stepping, metering, and epilogue pieces with the global round
+// decisions moved to a coordinator.
 //
 // Concurrency: only the scheduler goroutine touches engine state, so no
 // locks are taken. Machine steps themselves are sharded across worker
@@ -63,12 +61,10 @@ func (e *engine) runStep(machines []Machine) {
 			case StepDone:
 				c.done = true
 				e.traceBlocked(TraceRetire, c.id)
-				// Retire-flush: a retiring vertex's sends are committed by
-				// the retirement itself (see engine.finish).
-				if !e.quiesced && c.hasSends() {
+				// Retire-flush: a retiring vertex's sends are its last
+				// words, committed by the retirement itself.
+				if c.hasSends() {
 					e.dirty = append(e.dirty, c)
-				} else {
-					c.clearSends()
 				}
 				done++
 			}
@@ -77,7 +73,7 @@ func (e *engine) runStep(machines []Machine) {
 			// Everyone retired. Any last words can only be going to done
 			// vertices: meter and drop them without charging a round.
 			if len(e.dirty) > 0 {
-				e.routeLocked()
+				e.routeTimed()
 			}
 			return
 		}
@@ -85,15 +81,14 @@ func (e *engine) runStep(machines []Machine) {
 			// No vertex asked for another round. If pending retirement
 			// sends cannot wake anybody, route them silently (meter+drop)
 			// and quiesce the parked set.
-			wakes := len(e.dirty) > 0 && e.flushWakesLocked()
+			wakes := len(e.dirty) > 0 && e.flushWakes()
 			if !wakes {
 				if len(e.dirty) > 0 {
-					e.routeLocked()
+					e.routeTimed()
 					if e.abort != nil {
 						return
 					}
 				}
-				e.quiesced = true
 				for _, c := range e.ctxs {
 					if !c.parked {
 						continue
@@ -104,33 +99,32 @@ func (e *engine) runStep(machines []Machine) {
 						return
 					}
 				}
-				e.parked = 0
 				return
 			}
 		}
 		e.stats.Rounds++
 		if e.stats.Rounds > e.maxRounds {
-			e.abort = e.roundLimitError()
+			e.abort = roundLimitError(e.stats.Rounds, e.maxRounds)
 			return
 		}
-		if e.canceled() {
-			e.abort = e.cancelError()
+		if canceled(e.cancel) {
+			e.abort = cancelError(e.stats.Rounds)
 			return
 		}
-		e.routeLocked()
+		e.routeTimed()
 		if e.abort != nil {
 			return
 		}
 		e.parked -= len(e.woken)
-		e.recordRoundLocked()
+		e.recordRound()
 		active = active[:0]
 		for _, c := range yielded {
-			ins[c.id] = StepIn{Recs: c.takeRecs(), Msgs: c.takeMessages()}
+			ins[c.id] = StepIn{Recs: c.takeRecs()}
 			active = append(active, c)
 		}
 		for _, c := range e.woken {
 			c.parked = false
-			ins[c.id] = StepIn{Recs: c.takeRecs(), Msgs: c.takeMessages()}
+			ins[c.id] = StepIn{Recs: c.takeRecs()}
 			active = append(active, c)
 		}
 		e.woken = e.woken[:0]
@@ -139,7 +133,7 @@ func (e *engine) runStep(machines []Machine) {
 
 // stepParallelThreshold is the active-set size below which machines are
 // stepped serially: sharding overhead dominates under it. Mirrors the
-// routing shard threshold in routeLocked.
+// routing shard threshold in route.
 const stepParallelThreshold = 64
 
 // stepMachines steps every active machine, serially for small active
@@ -194,8 +188,8 @@ func (e *engine) stepMachines(machines []Machine, status []StepStatus, ins []Ste
 	}
 }
 
-// stepSafe runs one machine step, converting a panic into the abort
-// error the blocking engines would produce for the same vertex.
+// stepSafe runs one machine step, converting a panic into the run's
+// abort error.
 func stepSafe(m Machine, c *Ctx, in StepIn) (st StepStatus, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -206,9 +200,8 @@ func stepSafe(m Machine, c *Ctx, in StepIn) (st StepStatus, err error) {
 }
 
 // stepEpilogue drains a parked machine after quiescence: it is stepped
-// with Quiesced until it retires, mirroring the post-quiescence
-// behavior of the blocking engines (Recv returns false, NextRound
-// returns immediately, all sends are discarded).
+// with Quiesced until it retires — an empty inbox after a yield,
+// Quiesced again after a park — and all its sends are discarded.
 func (e *engine) stepEpilogue(m Machine, c *Ctx) {
 	in := StepIn{Quiesced: true}
 	for {
@@ -233,11 +226,16 @@ func (e *engine) stepEpilogue(m Machine, c *Ctx) {
 	}
 }
 
-// stepWorkers resolves the step-shard width for a config: Workers if
-// set, else GOMAXPROCS.
-func stepWorkers(cfg Config) int {
-	if cfg.Workers > 0 {
-		return cfg.Workers
+// flushWakes reports whether any pending (dirty) send targets a vertex
+// that is still alive — i.e. whether flushing would be observable as a
+// round. Parked receivers count: a delivery would wake them.
+func (e *engine) flushWakes() bool {
+	for _, c := range e.dirty {
+		for ri := range c.outRecs {
+			if !e.ctxs[c.outRecs[ri].to].done {
+				return true
+			}
+		}
 	}
-	return runtime.GOMAXPROCS(0)
+	return false
 }

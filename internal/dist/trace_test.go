@@ -8,11 +8,11 @@ import (
 	"distspanner/internal/graph"
 )
 
-// Tests for the tracing hooks (trace.go): the logical transcript's
-// cross-mode determinism — per-vertex event buffers and Phase snapshots
-// must be bit-identical under barrier, event, and step scheduling, with
-// and without faults — and the nil-tracer contract (zero allocations,
-// no timestamps) on the disabled path.
+// Tests for the tracing hooks (trace.go): the exact stamping rules, the
+// transcript's agreement between the engine, its sharded runner, and the
+// reference interpreter — per-vertex event buffers and Phase snapshots,
+// with and without faults — and the nil-tracer contract (zero
+// allocations, no timestamps) on the disabled path.
 
 // memTracer is the in-package test recorder: per-vertex append-only
 // event buffers plus the phase and timing channels. Tracer calls are
@@ -48,138 +48,138 @@ func TestTraceKindStringRoundTrip(t *testing.T) {
 // exchange — the worked example of the round-stamping rules: sends and
 // deliveries carry the routed round, routing visits senders in
 // ascending id (so v1's delivery from v0 lands before v1's own send is
-// routed), NextRound's barrier wait is not a park (no park/wake
-// events), and retirements carry the round after the last completed
-// one.
+// routed), a yield is not a park (no park/wake events), and retirements
+// carry the round after the last completed one.
 func TestTraceEventSequence(t *testing.T) {
 	g := graph.New(2)
 	g.AddEdge(0, 1)
-	tr := newMemTracer(2)
-	_, err := Run(Config{Graph: g, Seed: 1, Mode: ModeBarrier, Tracer: tr}, func(ctx *Ctx) {
-		ctx.Send(1-ctx.ID(), blob{val: ctx.ID(), size: 8})
-		msgs := ctx.NextRound()
-		if len(msgs) != 1 {
-			t.Errorf("vertex %d: got %d messages", ctx.ID(), len(msgs))
+	forRunners(t, func(t *testing.T, run func(Config, func(*Ctx) Machine) (*Stats, error)) {
+		tr := newMemTracer(2)
+		_, err := run(Config{Graph: g, Seed: 1, Tracer: tr}, yieldThen(func(ctx *Ctx, in StepIn, step int) bool {
+			if step == 0 {
+				ctx.SendRec(1-ctx.ID(), Rec{Tag: 4, A: int64(ctx.ID())}, 8)
+				return false
+			}
+			if len(in.Recs) != 1 {
+				t.Errorf("vertex %d: got %d records", ctx.ID(), len(in.Recs))
+			}
+			return true
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := [][]TraceEvent{
+			{
+				{Kind: TraceSend, Round: 1, V: 0, Peer: 1, Tag: 4, Bits: 8},
+				{Kind: TraceDeliver, Round: 1, V: 0, Peer: 1, Tag: 4, Bits: 8},
+				{Kind: TraceRetire, Round: 2, V: 0, Peer: -1},
+			},
+			{
+				{Kind: TraceDeliver, Round: 1, V: 1, Peer: 0, Tag: 4, Bits: 8},
+				{Kind: TraceSend, Round: 1, V: 1, Peer: 0, Tag: 4, Bits: 8},
+				{Kind: TraceRetire, Round: 2, V: 1, Peer: -1},
+			},
+		}
+		if !reflect.DeepEqual(tr.events, want) {
+			t.Errorf("transcript mismatch:\ngot:  %+v\nwant: %+v", tr.events, want)
+		}
+		wantPhases := []RoundActivity{
+			{Round: 1, Active: 2, Senders: 2, Delivered: 2, DeliveredBits: 16},
+		}
+		if !reflect.DeepEqual(tr.phases, wantPhases) {
+			t.Errorf("phases mismatch:\ngot:  %+v\nwant: %+v", tr.phases, wantPhases)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]TraceEvent{
-		{
-			{Kind: TraceSend, Round: 1, V: 0, Peer: 1, Boxed: true, Bits: 8},
-			{Kind: TraceDeliver, Round: 1, V: 0, Peer: 1, Boxed: true, Bits: 8},
-			{Kind: TraceRetire, Round: 2, V: 0, Peer: -1},
-		},
-		{
-			{Kind: TraceDeliver, Round: 1, V: 1, Peer: 0, Boxed: true, Bits: 8},
-			{Kind: TraceSend, Round: 1, V: 1, Peer: 0, Boxed: true, Bits: 8},
-			{Kind: TraceRetire, Round: 2, V: 1, Peer: -1},
-		},
-	}
-	if !reflect.DeepEqual(tr.events, want) {
-		t.Errorf("transcript mismatch:\ngot:  %+v\nwant: %+v", tr.events, want)
-	}
-	wantPhases := []RoundActivity{
-		{Round: 1, Active: 2, Senders: 2, Delivered: 2, DeliveredBits: 16},
-	}
-	if !reflect.DeepEqual(tr.phases, wantPhases) {
-		t.Errorf("phases mismatch:\ngot:  %+v\nwant: %+v", tr.phases, wantPhases)
-	}
-	if len(tr.timings) != len(tr.phases) {
-		t.Errorf("timings: got %d entries, want %d", len(tr.timings), len(tr.phases))
-	}
 }
 
 // TestTraceParkWakeSequence pins the park/wake half of the lifecycle:
-// a vertex blocking in Recv parks (stamped with the round it blocks
-// into), a later delivery wakes it (stamped with the routed round), and
-// quiescence retires the still-parked listener.
+// a parking vertex is stamped with the round it parks into, a later
+// delivery wakes it (stamped with the routed round), and quiescence
+// retires the still-parked listener.
 func TestTraceParkWakeSequence(t *testing.T) {
 	g := graph.New(2)
 	g.AddEdge(0, 1)
-	tr := newMemTracer(2)
-	_, err := Run(Config{Graph: g, Seed: 1, Mode: ModeBarrier, Tracer: tr}, func(ctx *Ctx) {
-		if ctx.ID() == 0 {
-			ctx.NextRound() // idle round 1
-			ctx.Send(1, blob{val: 7, size: 8})
-			ctx.NextRound()
-			return
+	forRunners(t, func(t *testing.T, run func(Config, func(*Ctx) Machine) (*Stats, error)) {
+		tr := newMemTracer(2)
+		_, err := run(Config{Graph: g, Seed: 1, Tracer: tr}, func(*Ctx) Machine {
+			step := 0
+			return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
+				defer func() { step++ }()
+				if ctx.ID() == 1 {
+					if in.Quiesced {
+						return StepDone // released by quiescence
+					}
+					return StepPark
+				}
+				switch step {
+				case 0:
+					return StepYield // idle round 1
+				case 1:
+					ctx.SendRec(1, Rec{A: 7}, 8)
+					return StepYield
+				}
+				return StepDone
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for {
-			if _, ok := ctx.Recv(); !ok {
-				return // released by quiescence
-			}
+		want := [][]TraceEvent{
+			{
+				{Kind: TraceSend, Round: 2, V: 0, Peer: 1, Bits: 8},
+				{Kind: TraceRetire, Round: 3, V: 0, Peer: -1},
+			},
+			{
+				{Kind: TracePark, Round: 1, V: 1, Peer: -1},
+				{Kind: TraceDeliver, Round: 2, V: 1, Peer: 0, Bits: 8},
+				{Kind: TraceWake, Round: 2, V: 1, Peer: 0},
+				{Kind: TracePark, Round: 3, V: 1, Peer: -1},
+				{Kind: TraceRetire, Round: 3, V: 1, Peer: -1},
+			},
+		}
+		if !reflect.DeepEqual(tr.events, want) {
+			t.Errorf("transcript mismatch:\ngot:  %+v\nwant: %+v", tr.events, want)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]TraceEvent{
-		{
-			{Kind: TraceSend, Round: 2, V: 0, Peer: 1, Boxed: true, Bits: 8},
-			{Kind: TraceRetire, Round: 3, V: 0, Peer: -1},
-		},
-		{
-			{Kind: TracePark, Round: 1, V: 1, Peer: -1},
-			{Kind: TraceDeliver, Round: 2, V: 1, Peer: 0, Boxed: true, Bits: 8},
-			{Kind: TraceWake, Round: 2, V: 1, Peer: 0},
-			{Kind: TracePark, Round: 3, V: 1, Peer: -1},
-			{Kind: TraceRetire, Round: 3, V: 1, Peer: -1},
-		},
-	}
-	if !reflect.DeepEqual(tr.events, want) {
-		t.Errorf("transcript mismatch:\ngot:  %+v\nwant: %+v", tr.events, want)
-	}
 }
 
-// TestTraceCrossModeChaosEquivalence reruns the fault-injecting chaos
-// protocol (random parks, broadcasts, early retirements) with a tracer
-// installed and asserts the full logical transcript — every per-vertex
-// event buffer and every Phase snapshot — is bit-identical across the
-// barrier engine, the worker-pool barrier, and the event scheduler.
+// TestTraceCrossModeChaosEquivalence runs the fault-injecting chaos
+// machine (random parks, variable-size sends, early retirements) on the
+// sharded runner with a tracer installed and asserts the full logical
+// transcript — every per-vertex event buffer and every Phase snapshot —
+// is bit-identical to the reference interpreter's.
 func TestTraceCrossModeChaosEquivalence(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"clique16":   clique(16),
 		"path33":     path(33),
 		"sparse2x40": func() *graph.Graph { g := graph.New(80); g.AddEdge(0, 79); return g }(),
 	}
+	mk := func(out []int64) func(*Ctx) Machine {
+		return func(*Ctx) Machine { return &chaosWordMachine{out: out, steps: 12} }
+	}
 	for name, g := range graphs {
 		for seed := int64(1); seed <= 2; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				var ref *memTracer
-				for i, cfg := range []Config{
-					{Graph: g, Seed: seed, Mode: ModeBarrier},
-					{Graph: g, Seed: seed, Mode: ModeBarrier, Workers: 3},
-					{Graph: g, Seed: seed, Mode: ModeEvent},
-					{Graph: g, Seed: seed, Mode: ModeEvent, Workers: 3},
-				} {
-					tr := newMemTracer(g.N())
-					cfg.Tracer = tr
-					out := make([]int64, g.N())
-					if _, err := Run(cfg, recChaosProc(12, out)); err != nil {
-						t.Fatalf("config %d: %v", i, err)
-					}
-					if i == 0 {
-						ref = tr
-						continue
-					}
-					if !reflect.DeepEqual(ref.events, tr.events) {
-						t.Fatalf("config %d (mode=%v workers=%d): event transcript diverged", i, cfg.Mode, cfg.Workers)
-					}
-					if !reflect.DeepEqual(ref.phases, tr.phases) {
-						t.Fatalf("config %d (mode=%v workers=%d): phases diverged:\nref: %+v\ngot: %+v",
-							i, cfg.Mode, cfg.Workers, ref.phases, tr.phases)
-					}
+				ref := observe(RunReference, Config{Graph: g, Seed: seed}, mk)
+				sharded := observe(RunMachines, Config{Graph: g, Seed: seed, Shards: 3}, mk)
+				if ref.err != nil || sharded.err != nil {
+					t.Fatalf("reference err = %v, sharded err = %v", ref.err, sharded.err)
+				}
+				if !reflect.DeepEqual(ref.tr.events, sharded.tr.events) {
+					t.Fatal("event transcript diverged")
+				}
+				if !reflect.DeepEqual(ref.tr.phases, sharded.tr.phases) {
+					t.Fatalf("phases diverged:\nref: %+v\ngot: %+v", ref.tr.phases, sharded.tr.phases)
 				}
 			})
 		}
 	}
 }
 
-// TestTraceMachineCrossModeEquivalence is the three-engine version on
-// the state-machine surface: the chaos machine's transcript must be
-// identical under barrier, event, and goroutine-free step scheduling.
+// TestTraceMachineCrossModeEquivalence holds the engine's transcript of
+// the record chaos machine to the reference's, and checks the timing
+// channel alongside it: exactly one RoundTime per completed round, in
+// round order.
 func TestTraceMachineCrossModeEquivalence(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"clique16": clique(16),
@@ -188,25 +188,15 @@ func TestTraceMachineCrossModeEquivalence(t *testing.T) {
 	for name, g := range graphs {
 		for seed := int64(1); seed <= 2; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				var ref *memTracer
-				for i, cfg := range machineModeConfigs(g, seed) {
-					tr := newMemTracer(g.N())
-					cfg.Tracer = tr
-					out := make([]int64, g.N())
-					if _, err := RunMachines(cfg, func(c *Ctx) Machine {
-						return &chaosMachine{out: out, rounds: 12}
-					}); err != nil {
-						t.Fatalf("config %d: %v", i, err)
-					}
-					if i == 0 {
-						ref = tr
-						continue
-					}
-					if !reflect.DeepEqual(ref.events, tr.events) {
-						t.Fatalf("config %d (mode=%v workers=%d): event transcript diverged", i, cfg.Mode, cfg.Workers)
-					}
-					if !reflect.DeepEqual(ref.phases, tr.phases) {
-						t.Fatalf("config %d (mode=%v workers=%d): phases diverged", i, cfg.Mode, cfg.Workers)
+				o := matchReference(t, Config{Graph: g, Seed: seed}, func(out []int64) func(*Ctx) Machine {
+					return func(*Ctx) Machine { return &chaosMachine{out: out, rounds: 12} }
+				})
+				if len(o.tr.timings) != len(o.tr.phases) {
+					t.Fatalf("timings: got %d entries, want %d", len(o.tr.timings), len(o.tr.phases))
+				}
+				for i, tm := range o.tr.timings {
+					if tm.Round != i+1 || tm.Step < 0 || tm.Route < 0 || tm.Sync < 0 {
+						t.Fatalf("timing %d = %+v", i, tm)
 					}
 				}
 			})
@@ -216,31 +206,34 @@ func TestTraceMachineCrossModeEquivalence(t *testing.T) {
 
 // TestTraceDeliveredMatchesStats cross-checks the Phase channel against
 // the engine's own metering on a fully-busy run, where every sent
-// payload is also delivered: summed Delivered must equal
-// Stats.Messages, summed DeliveredBits must equal Stats.TotalBits.
+// record is also delivered: summed Delivered must equal Stats.Messages,
+// summed DeliveredBits must equal Stats.TotalBits.
 func TestTraceDeliveredMatchesStats(t *testing.T) {
 	g := clique(8)
-	tr := newMemTracer(g.N())
-	stats, err := Run(Config{Graph: g, Seed: 3, Tracer: tr}, func(ctx *Ctx) {
-		for r := 0; r < 4; r++ {
-			ctx.Broadcast(blob{val: r, size: 16})
-			ctx.NextRound()
+	forRunners(t, func(t *testing.T, run func(Config, func(*Ctx) Machine) (*Stats, error)) {
+		tr := newMemTracer(g.N())
+		stats, err := run(Config{Graph: g, Seed: 3, Tracer: tr}, yieldThen(func(ctx *Ctx, _ StepIn, step int) bool {
+			if step == 4 {
+				return true
+			}
+			ctx.BroadcastRec(Rec{A: int64(step)}, 16)
+			return false
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var deliv, bits int64
+		for _, act := range tr.phases {
+			deliv += int64(act.Delivered)
+			bits += act.DeliveredBits
+		}
+		if deliv != stats.Messages {
+			t.Errorf("summed Delivered = %d, Stats.Messages = %d", deliv, stats.Messages)
+		}
+		if bits != stats.TotalBits {
+			t.Errorf("summed DeliveredBits = %d, Stats.TotalBits = %d", bits, stats.TotalBits)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var deliv, bits int64
-	for _, act := range tr.phases {
-		deliv += int64(act.Delivered)
-		bits += act.DeliveredBits
-	}
-	if deliv != stats.Messages {
-		t.Errorf("summed Delivered = %d, Stats.Messages = %d", deliv, stats.Messages)
-	}
-	if bits != stats.TotalBits {
-		t.Errorf("summed DeliveredBits = %d, Stats.TotalBits = %d", bits, stats.TotalBits)
-	}
 }
 
 // TestNilTracerZeroAllocs pins the disabled path's cost: with no tracer
@@ -248,7 +241,7 @@ func TestTraceDeliveredMatchesStats(t *testing.T) {
 // engine must not arm the timing clock or delivery metering.
 func TestNilTracerZeroAllocs(t *testing.T) {
 	g := clique(4)
-	e, err := newEngine(Config{Graph: g, Seed: 1}, false)
+	e, err := newEngine(Config{Graph: g, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,9 @@ import (
 )
 
 // The pluggable transport seam. A run can execute on a single engine
-// (the in-process modes of dist.go) or be sharded across workers, each
-// owning a contiguous vertex range and stepping its machines with the
-// ModeStep loop, with a coordinator driving the round/quiescence
+// (RunMachines in-process) or be sharded across workers, each owning a
+// contiguous vertex range and stepping its machines with the engine's
+// step loop, with a coordinator driving the round/quiescence
 // protocol. What moves between the processes is exactly the engine's
 // serialization points: a round's record batches, the per-shard
 // activity/metering reports, and the coordinator's round decisions.
@@ -31,18 +31,13 @@ import (
 // inbound batches in shard order and reproduce the in-process
 // per-vertex event interleaving (route visits senders ascending).
 //
-// Only the record path (SendRec) crosses shards: the Rec wire format is
-// the serialization. A machine that queues a boxed Send on the sharded
-// path aborts the run with ErrBoxedSend.
+// Records cross shards as themselves: the Rec wire format is the
+// serialization.
 
 // ErrTransport is wrapped by coordinator/worker errors when the
 // transport itself fails (connection dropped, peer closed, codec
 // error) — as opposed to a protocol-level abort like ErrCanceled.
 var ErrTransport = errors.New("dist: transport failure")
-
-// ErrBoxedSend is wrapped by the run error when a machine queues a
-// boxed Send on the sharded path; only records (SendRec) cross shards.
-var ErrBoxedSend = errors.New("dist: boxed Send is not supported on the sharded path")
 
 // FrameType discriminates transport frames.
 type FrameType uint8
@@ -59,7 +54,7 @@ const (
 	FrameBatches
 	// FrameWake (worker → coordinator, each iteration): what this
 	// shard's pending deliveries would do — the distributed half of
-	// flushWakesLocked and the delivery counters.
+	// flushWakes and the delivery counters.
 	FrameWake
 	// FrameDecision (coordinator → worker, each iteration): commit,
 	// quiesce, finish, or abort.
@@ -190,7 +185,7 @@ type RoundFrame struct {
 	// worker's own index stays empty — local deliveries never leave the
 	// worker). Nil when Err is set.
 	Out []RecBatch
-	// Err reports a worker-side abort (machine panic, boxed send); the
+	// Err reports a worker-side abort (a machine panic); the
 	// coordinator aborts the run.
 	Err string
 }
@@ -205,11 +200,11 @@ type BatchesFrame struct {
 // deliveries into this shard would do, computed without applying them.
 type WakeFrame struct {
 	// WouldWake reports whether any pending delivery targets a non-done
-	// vertex of this shard — the distributed half of flushWakesLocked.
+	// vertex of this shard — the distributed half of flushWakes.
 	WouldWake bool
 	// Woken counts the distinct parked vertices that would be woken.
 	Woken int
-	// Delivered/DeliveredBits count payloads that would land in live
+	// Delivered/DeliveredBits count records that would land in live
 	// inboxes — the RoundActivity delivery counters.
 	Delivered     int
 	DeliveredBits int64

@@ -1,7 +1,8 @@
 // Package transportconf is the conformance suite a dist.CoordTransport
-// implementation must pass. A conformant transport is invisible: a
-// distributed run over it reproduces the in-process step engine
-// bit-for-bit — identical per-vertex trace digests, identical Stats
+// implementation must pass — and, through its reference column, the
+// check that the in-process step engine itself is right. A conformant
+// transport is invisible: a distributed run over it reproduces the
+// in-process step engine bit-for-bit — identical per-vertex trace digests, identical Stats
 // (message/bit metering included), identical merged outputs — across
 // every algorithm family in the distrun registry, and it quiesces,
 // cancels, and aborts exactly where the local engine does.
@@ -57,7 +58,7 @@ type namedGraph struct {
 }
 
 // suiteGraphs is the conformance graph matrix — the same trio the
-// trace-level cross-mode tests pin.
+// trace-level engine-vs-reference tests pin.
 func suiteGraphs() []namedGraph {
 	return []namedGraph{
 		{"gnp48", gen.ConnectedGNP(48, 0.15, 1)},
@@ -87,39 +88,49 @@ type outcome struct {
 	err     error
 }
 
-// runLocal executes the reference in-process run for cfg (which must
-// have come from Family.CoordConfig, possibly with extra hooks set).
-func runLocal(f distrun.Family, cfg dist.CoordConfig) outcome {
-	prog, err := f.Program(cfg.Graph, cfg.Seed)
+// runner is one in-process execution of the round semantics:
+// dist.RunMachines (the step engine) or dist.RunReference.
+type runner func(dist.Config, func(*dist.Ctx) dist.Machine) (*dist.Stats, error)
+
+// runLocal executes cfg (which must have come from Family.CoordConfig,
+// possibly with extra hooks set) in-process under run.
+func runLocal(run runner, f distrun.Family, cfg dist.CoordConfig) outcome {
+	prog, local, err := f.Local(cfg.Graph, cfg.Seed)
 	if err != nil {
 		return outcome{err: err}
-	}
-	engineG := cfg.Graph
-	if prog.Graph != nil {
-		engineG = prog.Graph
 	}
 	rec := trace.NewRecorder(cfg.Graph.N())
-	stats, err := dist.RunMachines(dist.Config{
-		Graph:     engineG,
-		Seed:      cfg.Seed,
-		Mode:      dist.ModeStep,
-		Bandwidth: cfg.Bandwidth,
-		Enforce:   cfg.Enforce,
-		MaxRounds: cfg.MaxRounds,
-		CutSide:   cfg.CutSide,
-		Cancel:    cfg.Cancel,
-		Tracer:    rec,
-	}, prog.Factory)
+	local.Bandwidth, local.Enforce = cfg.Bandwidth, cfg.Enforce
+	local.MaxRounds, local.CutSide = cfg.MaxRounds, cfg.CutSide
+	local.Cancel, local.OnRound, local.Tracer = cfg.Cancel, cfg.OnRound, rec
+	stats, err := run(local, prog.Factory)
 	if err != nil {
 		return outcome{err: err}
 	}
-	outs := make([][]int, cfg.Graph.N())
-	if prog.Output != nil {
-		for v := range outs {
-			outs[v] = prog.Output(v)
+	return outcome{stats: *stats, outputs: distrun.Outputs(prog, cfg.Graph.N()), digest: rec.Digest(), phases: rec.Phases()}
+}
+
+// aborts are the abort paths every family is diffed on, engine against
+// reference: a round limit, a cancellation from the round hook after
+// round 2, and an enforced one-bit budget — each early enough that every
+// family in the matrix hits it. apply builds a fresh configuration per
+// run (each gets its own cancel).
+var aborts = []struct {
+	want  error
+	apply func(dist.CoordConfig) dist.CoordConfig
+}{
+	{dist.ErrRoundLimit, func(c dist.CoordConfig) dist.CoordConfig { c.MaxRounds = 3; return c }},
+	{dist.ErrCanceled, func(c dist.CoordConfig) dist.CoordConfig {
+		cancel := make(chan struct{})
+		c.Cancel = cancel
+		c.OnRound = func(a dist.RoundActivity) {
+			if a.Round == 2 {
+				close(cancel)
+			}
 		}
-	}
-	return outcome{stats: *stats, outputs: outs, digest: rec.Digest(), phases: rec.Phases()}
+		return c
+	}},
+	{dist.ErrBandwidth, func(c dist.CoordConfig) dist.CoordConfig { c.Bandwidth, c.Enforce = 1, true; return c }},
 }
 
 // runDistributed executes cfg over ct, collecting the replayed
@@ -136,13 +147,13 @@ func runDistributed(ct dist.CoordTransport, cfg dist.CoordConfig) outcome {
 }
 
 // compare fails t on any observable divergence between the reference
-// and distributed outcomes. It is the definition of conformance.
+// and the compared outcome. It is the definition of conformance.
 func compare(t *testing.T, ref, got outcome) {
 	t.Helper()
 	if ref.err != nil || got.err != nil {
 		refMsg, gotMsg := errString(ref.err), errString(got.err)
 		if refMsg != gotMsg {
-			t.Errorf("error mismatch:\n  reference:   %s\n  distributed: %s", refMsg, gotMsg)
+			t.Errorf("error mismatch:\n  reference: %s\n  got:       %s", refMsg, gotMsg)
 		}
 		return
 	}
@@ -158,13 +169,13 @@ func compare(t *testing.T, ref, got outcome) {
 			ref.digest.Run, got.digest.Run, v)
 	}
 	if ref.stats != got.stats {
-		t.Errorf("stats mismatch:\n  reference:   %+v\n  distributed: %+v", ref.stats, got.stats)
+		t.Errorf("stats mismatch:\n  reference: %+v\n  got:       %+v", ref.stats, got.stats)
 	}
 	if !equalOutputs(ref.outputs, got.outputs) {
-		t.Errorf("outputs mismatch:\n  reference:   %v\n  distributed: %v", ref.outputs, got.outputs)
+		t.Errorf("outputs mismatch:\n  reference: %v\n  got:       %v", ref.outputs, got.outputs)
 	}
 	if !reflect.DeepEqual(ref.phases, got.phases) {
-		t.Errorf("round-activity mismatch:\n  reference:   %+v\n  distributed: %+v", ref.phases, got.phases)
+		t.Errorf("round-activity mismatch:\n  reference: %+v\n  got:       %+v", ref.phases, got.phases)
 	}
 }
 
@@ -207,8 +218,9 @@ func Run(t *testing.T, newCluster Factory) {
 }
 
 // equivalence pins the headline property: for every (family, graph,
-// seed) in the matrix, a 2-worker distributed run is bit-identical to
-// the in-process step engine.
+// seed) in the matrix, the in-process step engine is bit-identical to
+// the reference interpreter — on the finished run and on every abort
+// path — and a 2-worker distributed run is bit-identical to both.
 func equivalence(t *testing.T, newCluster Factory) {
 	graphs := suiteGraphs()
 	for _, name := range distrun.Names() {
@@ -217,9 +229,17 @@ func equivalence(t *testing.T, newCluster Factory) {
 			for _, seed := range suiteSeeds {
 				t.Run(name+"/"+ng.name+"/"+itoa(seed), func(t *testing.T) {
 					cfg := f.CoordConfig(ng.g, seed)
-					ref := runLocal(f, cfg)
+					ref := runLocal(dist.RunReference, f, cfg)
 					if ref.err != nil {
 						t.Fatalf("reference run failed: %v", ref.err)
+					}
+					compare(t, ref, runLocal(dist.RunMachines, f, cfg))
+					for _, ab := range aborts {
+						aref := runLocal(dist.RunReference, f, ab.apply(cfg))
+						if !errors.Is(aref.err, ab.want) {
+							t.Fatalf("reference run aborted with %v, want %v", aref.err, ab.want)
+						}
+						compare(t, aref, runLocal(dist.RunMachines, f, ab.apply(cfg)))
 					}
 					ct, wait := newCluster(t, 2)
 					defer joinClean(t, wait)
@@ -236,7 +256,7 @@ func workerCounts(t *testing.T, newCluster Factory) {
 	g := suiteGraph("gnp48")
 	f, _ := distrun.Get("twospanner")
 	cfg := f.CoordConfig(g, 1)
-	ref := runLocal(f, cfg)
+	ref := runLocal(dist.RunMachines, f, cfg)
 	if ref.err != nil {
 		t.Fatalf("reference run failed: %v", ref.err)
 	}
@@ -249,8 +269,9 @@ func workerCounts(t *testing.T, newCluster Factory) {
 	}
 }
 
-// cutMetering pins Stats.CutBits over the wire: the coordinator's cut
-// assignment reaches the workers and their metering folds back.
+// cutMetering pins Stats.CutBits — in-process against the reference
+// interpreter, and over the wire: the coordinator's cut assignment
+// reaches the workers and their metering folds back.
 func cutMetering(t *testing.T, newCluster Factory) {
 	g := suiteGraph("grid6")
 	cut := make([]bool, g.N())
@@ -260,13 +281,14 @@ func cutMetering(t *testing.T, newCluster Factory) {
 	f, _ := distrun.Get("twospanner")
 	cfg := f.CoordConfig(g, 1)
 	cfg.CutSide = cut
-	ref := runLocal(f, cfg)
+	ref := runLocal(dist.RunMachines, f, cfg)
 	if ref.err != nil {
 		t.Fatalf("reference run failed: %v", ref.err)
 	}
 	if ref.stats.CutBits == 0 {
 		t.Fatal("cut fixture meters no cut traffic; pick a different cut")
 	}
+	compare(t, runLocal(dist.RunReference, f, cfg), ref)
 	ct, wait := newCluster(t, 3)
 	defer joinClean(t, wait)
 	compare(t, ref, runDistributed(ct, cfg))
@@ -281,7 +303,7 @@ func idleQuiescence(t *testing.T, newCluster Factory) {
 	g.AddEdge(0, 1)
 	f, _ := distrun.Get("twospanner")
 	cfg := f.CoordConfig(g, 1)
-	ref := runLocal(f, cfg)
+	ref := runLocal(dist.RunMachines, f, cfg)
 	if ref.err != nil {
 		t.Fatalf("reference run failed: %v", ref.err)
 	}
@@ -308,7 +330,7 @@ func cancellation(t *testing.T, newCluster Factory) {
 	cfg := f.CoordConfig(g, 1)
 	cfg.Cancel = cancel
 
-	ref := runLocal(f, cfg)
+	ref := runLocal(dist.RunMachines, f, cfg)
 	if !errors.Is(ref.err, dist.ErrCanceled) {
 		t.Fatalf("reference cancellation error = %v", ref.err)
 	}
@@ -347,7 +369,7 @@ func roundLimit(t *testing.T, newCluster Factory) {
 	f, _ := distrun.Get("twospanner")
 	cfg := f.CoordConfig(g, 1)
 	cfg.MaxRounds = 2
-	ref := runLocal(f, cfg)
+	ref := runLocal(dist.RunMachines, f, cfg)
 	if !errors.Is(ref.err, dist.ErrRoundLimit) {
 		t.Fatalf("reference round-limit error = %v", ref.err)
 	}

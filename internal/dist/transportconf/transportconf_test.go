@@ -81,7 +81,7 @@ func TestSuiteDetectsBrokenTransport(t *testing.T) {
 		t.Fatal("twospanner family missing")
 	}
 	cfg := f.CoordConfig(g, 1)
-	ref := runLocal(f, cfg)
+	ref := runLocal(dist.RunMachines, f, cfg)
 	if ref.err != nil {
 		t.Fatalf("reference run failed: %v", ref.err)
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // The transport yardsticks: the same fully-busy broadcast workload run
-// (a) on the in-process step engine, (b) distributed over the boxed
+// (a) on the in-process step engine, (b) distributed over the in-process
 // channel transport (Go structs handed between goroutines, no
 // serialization), and (c) distributed over framed TCP on localhost
 // (every frame wire-encoded and length-prefixed). local-vs-chan prices
@@ -58,7 +58,7 @@ func benchRing(n int) *graph.Graph {
 }
 
 func benchChanRun(b *testing.B, g *graph.Graph, shards int) {
-	stats, err := dist.RunMachines(dist.Config{Graph: g, Seed: 1, Mode: dist.ModeStep, Shards: shards},
+	stats, err := dist.RunMachines(dist.Config{Graph: g, Seed: 1, Shards: shards},
 		func(*dist.Ctx) dist.Machine { return &benchBusy{} })
 	if err != nil {
 		b.Fatal(err)

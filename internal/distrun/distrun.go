@@ -143,32 +143,47 @@ func (f Family) CoordConfig(g *graph.Graph, seed int64) dist.CoordConfig {
 	}
 }
 
+// Local builds the family's in-process run of (g, seed): the shard
+// program and the engine configuration matching CoordConfig — the
+// program's topology override, the family's bandwidth and enforcement.
+// Callers add hooks (Tracer, Cancel, ...) and hand both to
+// dist.RunMachines, or to dist.RunReference in tests.
+func (f Family) Local(g *graph.Graph, seed int64) (dist.ShardProgram, dist.Config, error) {
+	prog, err := f.Program(g, seed)
+	if err != nil {
+		return dist.ShardProgram{}, dist.Config{}, err
+	}
+	cfg := dist.Config{Graph: g, Seed: seed, Bandwidth: f.bandwidth(g.N()), Enforce: f.Enforce}
+	if prog.Graph != nil {
+		cfg.Graph = prog.Graph
+	}
+	return prog, cfg, nil
+}
+
 // RunLocal executes the family in-process on the step engine — the
 // reference a conformant transport must reproduce bit-for-bit. It
 // returns the per-vertex outputs (the same shape CoordResult.Outputs
 // has) and the run's Stats.
 func (f Family) RunLocal(g *graph.Graph, seed int64, tracer dist.Tracer) ([][]int, *dist.Stats, error) {
-	prog, err := f.Program(g, seed)
+	prog, cfg, err := f.Local(g, seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	engineG := g
-	if prog.Graph != nil {
-		engineG = prog.Graph
-	}
-	stats, err := dist.RunMachines(dist.Config{
-		Graph: engineG, Seed: seed, Mode: dist.ModeStep,
-		Bandwidth: f.bandwidth(g.N()), Enforce: f.Enforce,
-		Tracer: tracer,
-	}, prog.Factory)
+	cfg.Tracer = tracer
+	stats, err := dist.RunMachines(cfg, prog.Factory)
 	if err != nil {
 		return nil, nil, err
 	}
-	outs := make([][]int, g.N())
+	return Outputs(prog, g.N()), stats, nil
+}
+
+// Outputs reads every vertex's output of a finished program run.
+func Outputs(prog dist.ShardProgram, n int) [][]int {
+	outs := make([][]int, n)
 	if prog.Output != nil {
 		for v := range outs {
 			outs[v] = prog.Output(v)
 		}
 	}
-	return outs, stats, nil
+	return outs
 }

@@ -19,126 +19,14 @@ import (
 // the same per-vertex RNG streams at the same iterations as the
 // activity-aware implementation, so the chosen dominating set and the
 // round count are exactly the values the optimized run must reproduce.
+// It runs on the reference interpreter, so the comparison is independent
+// of the engine too.
 func classicRun(t *testing.T, g *graph.Graph, seed int64) ([]int, int) {
 	t.Helper()
-	n := g.N()
-	inDS := make([]bool, n)
-	proc := func(ctx *dist.Ctx) {
-		me := ctx.ID()
-		nbrs := ctx.Neighbors()
-		covered := false
-		selfIn := false
-		nbrCovered := make([]bool, len(nbrs))
-		for {
-			// Round 1: coverage. Covered vertices rebroadcast their status.
-			if covered {
-				ctx.BroadcastRec(coveredMsg{}.rec(), coveredMsg{}.Bits())
-			}
-			inbox := ctx.NextRoundRecs()
-			j := 0
-			for i := range inbox {
-				if inbox[i].Tag == tagCovered {
-					j = seekPos(nbrs, j, inbox[i].From)
-					nbrCovered[j] = true
-				}
-			}
-			count := 0
-			if !covered {
-				count++
-			}
-			for i := range nbrs {
-				if !nbrCovered[i] {
-					count++
-				}
-			}
-			if count == 0 {
-				inDS[me] = selfIn
-				return
-			}
-			// Round 2: density. Halted neighbors are silent, so a missing
-			// sender folds as density 0 — the classical equivalent of the
-			// optimized run's bye pruning.
-			dm := densityMsg{count: count, n: ctx.N()}
-			ctx.BroadcastRec(dm.rec(), dm.Bits())
-			inbox = ctx.NextRoundRecs()
-			hop := roundUpPow2Int(count)
-			for i := range inbox {
-				if inbox[i].Tag == tagDensity {
-					if r := roundUpPow2Int(int(inbox[i].A)); r > hop {
-						hop = r
-					}
-				}
-			}
-			// Round 3: 1-hop maxima.
-			mm := maxMsg{count: hop, n: ctx.N()}
-			ctx.BroadcastRec(mm.rec(), mm.Bits())
-			inbox = ctx.NextRoundRecs()
-			m2 := hop
-			for i := range inbox {
-				if inbox[i].Tag == tagMax {
-					if r := int(inbox[i].A); r > m2 {
-						m2 = r
-					}
-				}
-			}
-			// Round 4: candidacy.
-			isCand := roundUpPow2Int(count) >= m2
-			var myR int64
-			if isCand {
-				myR = 1 + ctx.Rand().Int63n(1<<62)
-				cm := candMsg{r: myR, n: ctx.N()}
-				for i, u := range nbrs {
-					if !nbrCovered[i] {
-						ctx.SendRec(u, cm.rec(), cm.Bits())
-					}
-				}
-			}
-			cands := ctx.NextRoundRecs()
-			// Round 5: votes.
-			votes := 0
-			if !covered {
-				bestV, bestR := -1, int64(0)
-				if isCand {
-					bestV, bestR = me, myR
-				}
-				for i := range cands {
-					if cands[i].Tag != tagCand {
-						continue
-					}
-					if bestV < 0 || cands[i].A < bestR || (cands[i].A == bestR && cands[i].From < bestV) {
-						bestV, bestR = cands[i].From, cands[i].A
-					}
-				}
-				if bestV == me {
-					votes++ // self-vote
-				} else if bestV >= 0 {
-					ctx.SendRec(bestV, voteMsg{}.rec(), voteMsg{}.Bits())
-				}
-			}
-			inbox = ctx.NextRoundRecs()
-			for i := range inbox {
-				if inbox[i].Tag == tagVote {
-					votes++
-				}
-			}
-			// Round 6: joins.
-			if isCand && 8*votes >= count && count > 0 {
-				selfIn = true
-				ctx.BroadcastRec(joinMsg{}.rec(), joinMsg{}.Bits())
-			}
-			inbox = ctx.NextRoundRecs()
-			joined := selfIn
-			for i := range inbox {
-				if inbox[i].Tag == tagJoin {
-					joined = true
-				}
-			}
-			if joined {
-				covered = true
-			}
-		}
-	}
-	stats, err := dist.Run(dist.Config{Graph: g, Seed: seed}, proc)
+	inDS := make([]bool, g.N())
+	stats, err := dist.RunReference(dist.Config{Graph: g, Seed: seed}, func(ctx *dist.Ctx) dist.Machine {
+		return &classicMachine{inDS: inDS, nbrCovered: make([]bool, ctx.Degree())}
+	})
 	if err != nil {
 		t.Fatalf("classic reference: %v", err)
 	}
@@ -150,6 +38,142 @@ func classicRun(t *testing.T, g *graph.Graph, seed int64) ([]int, int) {
 	}
 	sort.Ints(ds)
 	return ds, stats.Rounds
+}
+
+// classicMachine is one vertex of classicRun. ph is the round of the
+// six-round grid whose inbox the next step folds.
+type classicMachine struct {
+	inDS            []bool
+	covered, selfIn bool
+	nbrCovered      []bool
+	ph              int
+	count, hop, m2  int
+	isCand          bool
+	myR             int64
+	votes           int
+}
+
+func (m *classicMachine) Step(ctx *dist.Ctx, in dist.StepIn) dist.StepStatus {
+	me, nbrs, inbox := ctx.ID(), ctx.Neighbors(), in.Recs
+	if in.Start {
+		return m.coverage(ctx)
+	}
+	switch m.ph {
+	case 1:
+		j := 0
+		for i := range inbox {
+			if inbox[i].Tag == tagCovered {
+				j = seekPos(nbrs, j, inbox[i].From)
+				m.nbrCovered[j] = true
+			}
+		}
+		m.count = 0
+		if !m.covered {
+			m.count++
+		}
+		for i := range nbrs {
+			if !m.nbrCovered[i] {
+				m.count++
+			}
+		}
+		if m.count == 0 {
+			m.inDS[me] = m.selfIn
+			return dist.StepDone
+		}
+		// Round 2: density. Halted neighbors are silent, so a missing
+		// sender folds as density 0 — the classical equivalent of the
+		// optimized run's bye pruning.
+		dm := densityMsg{count: m.count, n: ctx.N()}
+		ctx.BroadcastRec(dm.rec(), dm.Bits())
+	case 2:
+		m.hop = roundUpPow2Int(m.count)
+		for i := range inbox {
+			if inbox[i].Tag == tagDensity {
+				if r := roundUpPow2Int(int(inbox[i].A)); r > m.hop {
+					m.hop = r
+				}
+			}
+		}
+		// Round 3: 1-hop maxima.
+		mm := maxMsg{count: m.hop, n: ctx.N()}
+		ctx.BroadcastRec(mm.rec(), mm.Bits())
+	case 3:
+		m.m2 = m.hop
+		for i := range inbox {
+			if inbox[i].Tag == tagMax {
+				if r := int(inbox[i].A); r > m.m2 {
+					m.m2 = r
+				}
+			}
+		}
+		// Round 4: candidacy.
+		m.isCand = roundUpPow2Int(m.count) >= m.m2
+		if m.isCand {
+			m.myR = 1 + ctx.Rand().Int63n(1<<62)
+			cm := candMsg{r: m.myR, n: ctx.N()}
+			for i, u := range nbrs {
+				if !m.nbrCovered[i] {
+					ctx.SendRec(u, cm.rec(), cm.Bits())
+				}
+			}
+		}
+	case 4:
+		// Round 5: votes.
+		m.votes = 0
+		if !m.covered {
+			bestV, bestR := -1, int64(0)
+			if m.isCand {
+				bestV, bestR = me, m.myR
+			}
+			for i := range inbox {
+				if inbox[i].Tag != tagCand {
+					continue
+				}
+				if bestV < 0 || inbox[i].A < bestR || (inbox[i].A == bestR && inbox[i].From < bestV) {
+					bestV, bestR = inbox[i].From, inbox[i].A
+				}
+			}
+			if bestV == me {
+				m.votes++ // self-vote
+			} else if bestV >= 0 {
+				ctx.SendRec(bestV, voteMsg{}.rec(), voteMsg{}.Bits())
+			}
+		}
+	case 5:
+		for i := range inbox {
+			if inbox[i].Tag == tagVote {
+				m.votes++
+			}
+		}
+		// Round 6: joins.
+		if m.isCand && 8*m.votes >= m.count && m.count > 0 {
+			m.selfIn = true
+			ctx.BroadcastRec(joinMsg{}.rec(), joinMsg{}.Bits())
+		}
+	case 6:
+		joined := m.selfIn
+		for i := range inbox {
+			if inbox[i].Tag == tagJoin {
+				joined = true
+			}
+		}
+		if joined {
+			m.covered = true
+		}
+		return m.coverage(ctx)
+	}
+	m.ph++
+	return dist.StepYield
+}
+
+// coverage starts an iteration: round 1, where covered vertices
+// rebroadcast their status.
+func (m *classicMachine) coverage(ctx *dist.Ctx) dist.StepStatus {
+	if m.covered {
+		ctx.BroadcastRec(coveredMsg{}.rec(), coveredMsg{}.Bits())
+	}
+	m.ph = 1
+	return dist.StepYield
 }
 
 // TestGoldenRoundsMatchClassic pins the activity-aware implementation to

@@ -5,15 +5,19 @@ import (
 	"reflect"
 	"strconv"
 	"testing"
+
+	"distspanner/internal/dist"
 )
 
-// TestCrossModeScenarioEquivalence is the scheduler-equivalence check at
-// the workload level: the same (scenario, cell, seed) run under the
-// barrier engine, the event-driven scheduler, and the goroutine-free
-// state-machine engine must produce identical metrics — same
+// TestCrossModeScenarioEquivalence is the observation-invariance check
+// at the workload level: the same (scenario, cell, seed) run plain and
+// run with a live observer attached through the execution-only "obs"
+// parameter — which switches the engine onto its metered-delivery path
+// and fires the round hook — must produce identical metrics: same
 // spanner/dominating-set size, same round count, same metered bits, bit
-// for bit. Cells and seeds are randomized so every run exercises fresh
-// instances; any divergence is an engine bug, not a flaky workload.
+// for bit. The observer must see exactly the reported rounds. Cells and
+// seeds are randomized so every run exercises fresh instances; any
+// divergence is an engine bug, not a flaky workload.
 func TestCrossModeScenarioEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260730))
 	cases := []struct {
@@ -53,22 +57,25 @@ func TestCrossModeScenarioEquivalence(t *testing.T) {
 		for rep := 0; rep < 3; rep++ {
 			cell := tc.cell()
 			seed := rng.Int63()
-			engines := []string{"barrier", "event", "step"}
-			metrics := make([]Metrics, len(engines))
-			errs := make([]error, len(engines))
-			for i, engine := range engines {
-				p := sc.Defaults.Merge(cell).Merge(Params{"engine": engine})
-				metrics[i], errs[i] = sc.Run(p, seed, nil)
+			p := sc.Defaults.Merge(cell)
+			plain, err := sc.Run(p, seed, nil)
+			if err != nil {
+				t.Fatalf("%s %v seed %d: %v", tc.scenario, cell, seed, err)
 			}
-			for i := 1; i < len(engines); i++ {
-				if (errs[0] == nil) != (errs[i] == nil) {
-					t.Fatalf("%s %v seed %d: engines disagree on failure: %s=%v %s=%v",
-						tc.scenario, cell, seed, engines[0], errs[0], engines[i], errs[i])
-				}
-				if !reflect.DeepEqual(metrics[0], metrics[i]) {
-					t.Fatalf("%s %v seed %d: metrics diverge across engines:\n%s: %v\n%s: %v",
-						tc.scenario, cell, seed, engines[0], metrics[0], engines[i], metrics[i])
-				}
+			observed := 0
+			token, release := RegisterObserver(func(dist.RoundActivity) { observed++ })
+			watched, err := sc.Run(p.Merge(Params{"obs": token}), seed, nil)
+			release()
+			if err != nil {
+				t.Fatalf("%s %v seed %d observed: %v", tc.scenario, cell, seed, err)
+			}
+			if !reflect.DeepEqual(plain, watched) {
+				t.Fatalf("%s %v seed %d: metrics diverge under observation:\nplain:    %v\nobserved: %v",
+					tc.scenario, cell, seed, plain, watched)
+			}
+			if float64(observed) != plain["rounds"] {
+				t.Fatalf("%s %v seed %d: observer saw %d rounds, metrics report %v",
+					tc.scenario, cell, seed, observed, plain["rounds"])
 			}
 		}
 	}

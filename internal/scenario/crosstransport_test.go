@@ -56,7 +56,7 @@ func TestCrossTransportScenarioEquivalence(t *testing.T) {
 			metrics := make([]Metrics, len(transports))
 			errs := make([]error, len(transports))
 			for i, tr := range transports {
-				p := sc.Defaults.Merge(cell).Merge(Params{"engine": "step", "transport": tr})
+				p := sc.Defaults.Merge(cell).Merge(Params{"transport": tr})
 				metrics[i], errs[i] = sc.Run(p, seed, nil)
 			}
 			for i := 1; i < len(transports); i++ {
@@ -74,8 +74,25 @@ func TestCrossTransportScenarioEquivalence(t *testing.T) {
 }
 
 // TestTransportParamValidation pins the parameter surface: unknown
-// transport values panic loudly rather than silently running local.
+// transport values panic loudly rather than silently running local, and
+// CheckExecParams refuses every malformed execution-only value — and
+// the removed "engine" parameter — before a run could reach them.
 func TestTransportParamValidation(t *testing.T) {
+	for _, bad := range []Params{
+		{"transport": "tcp"}, {"transport": "chan0"}, {"timing": "maybe"},
+		{"engine": "step"}, {"engine": "bogus"},
+	} {
+		if err := CheckExecParams(bad); err == nil {
+			t.Errorf("CheckExecParams(%v) accepted it", bad)
+		}
+	}
+	for _, good := range []Params{
+		{}, {"n": "8"}, {"transport": "local"}, {"transport": "chan3", "timing": "true", "obs": "17"},
+	} {
+		if err := CheckExecParams(good); err != nil {
+			t.Errorf("CheckExecParams(%v) = %v", good, err)
+		}
+	}
 	for _, bad := range []string{"tcp", "chan0", "chan-1", "chanx", ""} {
 		func() {
 			defer func() {

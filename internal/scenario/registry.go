@@ -13,16 +13,11 @@
 // adding a Register call — no driver code changes.
 //
 // Every scenario that executes on the internal/dist engine (the spanner
-// variants, MDS, and the E1–E15 experiments built on them) honors the
-// shared "engine" parameter ("auto", "barrier", "event", "step"),
-// selecting which scheduling strategy executes the protocol: the classic
-// barrier engine, the event-driven scheduler that only wakes active
-// vertices, or the goroutine-free state-machine engine. Sequential and
-// analytic scenarios ignore it. The engines are bit-identical by the
-// dist package's determinism contract, so "engine" is an execution-only
-// parameter: it is excluded from instance identity (Params.InstanceKey),
-// and sweeping engine={barrier,event,step} compares wall-clock cost over
-// identical instances.
+// variants, MDS, and the E1–E15 experiments built on them) runs on its
+// one step engine. A few parameters select how a run executes rather
+// than what it computes — "timing", "transport", "obs" (see
+// Params.InstanceParams): they are excluded from instance identity, and
+// CheckExecParams validates them before a run is admitted.
 package scenario
 
 import (

@@ -133,16 +133,16 @@ func TestJobKeyIgnoresExecOnlyParams(t *testing.T) {
 	if rerr != nil {
 		t.Fatalf("prepare: %v", rerr)
 	}
-	engined, rerr := s.prepare(&JobRequest{
+	timed, rerr := s.prepare(&JobRequest{
 		Scenario: "twospanner",
-		Params:   map[string]string{"family": "gnp", "n": "32", "p": "0.2", "engine": "event"},
+		Params:   map[string]string{"family": "gnp", "n": "32", "p": "0.2", "timing": "1"},
 		Seed:     7,
 	})
 	if rerr != nil {
-		t.Fatalf("prepare with engine: %v", rerr)
+		t.Fatalf("prepare with timing: %v", rerr)
 	}
-	if base.Key != engined.Key {
-		t.Fatalf("engine param changed the cache key: %s vs %s", base.Key, engined.Key)
+	if base.Key != timed.Key {
+		t.Fatalf("timing param changed the cache key: %s vs %s", base.Key, timed.Key)
 	}
 }
 

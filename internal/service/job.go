@@ -20,7 +20,7 @@ type JobRequest struct {
 	Scenario string `json:"scenario"`
 	// Params overlays the scenario defaults; same surface as a sweep
 	// grid cell ("n", "p", "family", "ref", ..., plus execution-only
-	// knobs like "engine", which never enter the cache key).
+	// knobs like "timing", which never enter the cache key).
 	Params map[string]string `json:"params,omitempty"`
 	// Seed is the run seed; results are pure functions of (spec, seed).
 	Seed int64 `json:"seed"`
@@ -82,6 +82,12 @@ func (s *Server) prepare(req *JobRequest) (*Job, *reqError) {
 		return nil, &reqError{status: http.StatusNotFound, msg: fmt.Sprintf("unknown scenario %q (see /v1/scenarios)", req.Scenario)}
 	}
 	merged := sc.Defaults.Merge(scenario.Params(req.Params))
+	// Execution-only params never enter the key, so a malformed one must
+	// be refused here: keyed, it would share the valid instance's flight
+	// and cache entry, and coalesce that instance onto its failure.
+	if err := scenario.CheckExecParams(merged); err != nil {
+		return nil, badRequest("%v", err)
+	}
 	job := &Job{Scenario: sc, Seed: req.Seed}
 	if req.Graph != nil {
 		g, err := s.buildInline(req.Graph)

@@ -289,6 +289,41 @@ func TestRejectedRequests(t *testing.T) {
 	}
 }
 
+// TestMalformedExecOnlyParamsRejected: execution-only params never enter
+// the cache key, so a malformed one must be refused at admission — run,
+// it would panic in a pool slot, and keyed, it would share the valid
+// instance's flight and cache entry. The removed "engine" param is
+// refused by name. None of them may execute, and the valid instance
+// still runs cleanly afterwards.
+func TestMalformedExecOnlyParamsRejected(t *testing.T) {
+	srv, ts := newTestServer(t, Options{Workers: 1})
+	base := map[string]string{"family": "gnp", "n": "24", "p": "0.2"}
+	for _, tc := range []struct{ key, val, want string }{
+		{"transport", "bogus", "unknown transport"},
+		{"timing", "maybe", "not a bool"},
+		{"engine", "bogus", "was removed"},
+	} {
+		params := map[string]string{tc.key: tc.val}
+		for k, v := range base {
+			params[k] = v
+		}
+		status, _, body := postRun(t, ts, JobRequest{Scenario: "twospanner", Params: params, Seed: 4})
+		if status != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
+			t.Errorf("%s=%s: status %d (%s), want 400 mentioning %q", tc.key, tc.val, status, body, tc.want)
+		}
+	}
+	st := srv.Stats()
+	if st.Rejected != 3 || st.RunErrors != 0 {
+		t.Errorf("rejected = %d, run errors = %d; want 3, 0", st.Rejected, st.RunErrors)
+	}
+	if ps := srv.pool.Stats(); ps.Executions != 0 || ps.Failures != 0 {
+		t.Errorf("malformed requests reached the pool: %+v", ps)
+	}
+	if status, cache, body := postRun(t, ts, JobRequest{Scenario: "twospanner", Params: base, Seed: 4}); status != http.StatusOK || cache != "miss" {
+		t.Fatalf("valid instance after the rejections: status %d, cache %q (%s)", status, cache, body)
+	}
+}
+
 // sseEvent is one parsed server-sent event.
 type sseEvent struct {
 	name string
@@ -498,8 +533,8 @@ func TestExecOnlyParamsShareOneCacheEntry(t *testing.T) {
 	srv, ts := newTestServer(t, Options{Workers: 2})
 	base := map[string]string{"family": "gnp", "n": "24", "p": "0.2"}
 	_, cache1, body1 := postRun(t, ts, JobRequest{Scenario: "twospanner", Params: base, Seed: 4})
-	withEngine := map[string]string{"family": "gnp", "n": "24", "p": "0.2", "engine": "event"}
-	_, cache2, body2 := postRun(t, ts, JobRequest{Scenario: "twospanner", Params: withEngine, Seed: 4})
+	withTiming := map[string]string{"family": "gnp", "n": "24", "p": "0.2", "timing": "1"}
+	_, cache2, body2 := postRun(t, ts, JobRequest{Scenario: "twospanner", Params: withTiming, Seed: 4})
 	if cache1 != "miss" || cache2 != "hit" {
 		t.Fatalf("cache headers = %q, %q; want miss, hit", cache1, cache2)
 	}

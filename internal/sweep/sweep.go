@@ -11,10 +11,9 @@
 // scheduling only change wall-clock time. Run seeds are derived by hashing
 // the scenario name, the cell's instance key, and the replicate index into
 // the base seed, so a cell's seeds are stable under grid reordering and
-// sweep composition. Execution-only parameters (the "engine" selection of
-// the dist scheduler) are excluded from the instance key: cells differing
-// only in engine run identical instances and must report identical
-// metrics, making an engine axis a pure wall-clock comparison. Wall-clock
+// sweep composition. Execution-only parameters ("timing", "transport")
+// are excluded from the instance key: cells differing only in them run
+// identical instances and must report identical metrics. Wall-clock
 // durations are excluded from the serialized report by default; the
 // execution-only "timing" parameter opts in to per-round wall-time
 // metrics (round_wall_ns_mean/max, time_share_*), which are telemetry —
@@ -122,9 +121,9 @@ func (r *Report) Failed() bool { return r.Failures > 0 }
 // DeriveSeed returns the seed of one (scenario, cell, replicate) run:
 // base mixed with an FNV hash of the scenario name and the cell's
 // instance key, then a splitmix64 step per replicate. Stable under cell
-// reordering, and blind to execution-only parameters (the "engine"
-// selection), so cells that differ only in engine mode run identical
-// instances — any metric difference between them is an engine bug.
+// reordering, and blind to execution-only parameters, so cells that
+// differ only in how they execute (timing, transport) run identical
+// instances.
 func DeriveSeed(base int64, scenarioName string, cell scenario.Params, replicate int) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(scenarioName))

@@ -11,11 +11,11 @@ import (
 	"distspanner/internal/mds"
 )
 
-// Sharding analogue of the cross-mode test: the logical transcript must
+// Sharding analogue of the engine-vs-reference test: the logical transcript must
 // be invariant under the shard count. Running a family distributed
 // across 1, 2, 4, or 7 shard workers (Options.Shards, in-process
 // channel transport) must produce per-vertex digests identical to the
-// plain step engine — partitioning is an execution detail, not an
+// unsharded step engine — partitioning is an execution detail, not an
 // algorithm input.
 
 var shardCounts = []int{1, 2, 4, 7}
@@ -27,31 +27,31 @@ var shardFamilies = []struct {
 	run  func(g *graph.Graph, seed int64, shards int, tr dist.Tracer) error
 }{
 	{"twospanner", func(g *graph.Graph, seed int64, shards int, tr dist.Tracer) error {
-		_, err := core.TwoSpanner(g, core.Options{Seed: seed, ExecMode: dist.ModeStep, Shards: shards, Tracer: tr})
+		_, err := core.TwoSpanner(g, core.Options{Seed: seed, Shards: shards, Tracer: tr})
 		return err
 	}},
 	{"congest", func(g *graph.Graph, seed int64, shards int, tr dist.Tracer) error {
-		_, err := core.TwoSpannerCongest(g, core.Options{Seed: seed, ExecMode: dist.ModeStep, Shards: shards, Tracer: tr})
+		_, err := core.TwoSpannerCongest(g, core.Options{Seed: seed, Shards: shards, Tracer: tr})
 		return err
 	}},
 	{"directed", func(g *graph.Graph, seed int64, shards int, tr dist.Tracer) error {
 		d := gen.OrientRandomly(g, 0.3, seed)
-		_, err := core.DirectedTwoSpanner(d, core.Options{Seed: seed, ExecMode: dist.ModeStep, Shards: shards, Tracer: tr})
+		_, err := core.DirectedTwoSpanner(d, core.Options{Seed: seed, Shards: shards, Tracer: tr})
 		return err
 	}},
 	{"cs", func(g *graph.Graph, seed int64, shards int, tr dist.Tracer) error {
 		clients, servers := gen.ClientServerSplit(g, 0.5, 0.8, seed)
-		_, err := core.ClientServerTwoSpanner(g, clients, servers, core.Options{Seed: seed, ExecMode: dist.ModeStep, Shards: shards, Tracer: tr})
+		_, err := core.ClientServerTwoSpanner(g, clients, servers, core.Options{Seed: seed, Shards: shards, Tracer: tr})
 		return err
 	}},
 	{"weighted", func(g *graph.Graph, seed int64, shards int, tr dist.Tracer) error {
 		wg := g.Clone()
 		gen.RandomWeights(wg, 1, 8, seed)
-		_, err := core.TwoSpanner(wg, core.Options{Seed: seed, ExecMode: dist.ModeStep, Shards: shards, Tracer: tr})
+		_, err := core.TwoSpanner(wg, core.Options{Seed: seed, Shards: shards, Tracer: tr})
 		return err
 	}},
 	{"mds", func(g *graph.Graph, seed int64, shards int, tr dist.Tracer) error {
-		_, err := mds.Run(g, mds.Options{Seed: seed, ExecMode: dist.ModeStep, Shards: shards, Tracer: tr})
+		_, err := mds.Run(g, mds.Options{Seed: seed, Shards: shards, Tracer: tr})
 		return err
 	}},
 }

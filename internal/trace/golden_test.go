@@ -3,15 +3,15 @@ package trace
 import (
 	"testing"
 
-	"distspanner/internal/dist"
 	"distspanner/internal/gen"
 )
 
 // Golden run digests for a fixed (graph, seed) per algorithm family.
 // These pin the logical transcript itself — message contents, order,
-// and vertex lifecycle — not just cross-mode agreement: an engine or
-// algorithm change that alters the transcript (even one that all three
-// engines agree on) must show up here and be consciously re-golded.
+// and vertex lifecycle — not just engine-vs-reference agreement: an
+// engine or algorithm change that alters the transcript (even one the
+// reference interpreter agrees with) must show up here and be
+// consciously re-golded.
 // Regenerate by running the test: the failure output prints the
 // observed values to paste in.
 var goldenDigests = map[string]string{
@@ -29,7 +29,7 @@ func TestGoldenDigests(t *testing.T) {
 	for _, fam := range algoFamilies {
 		t.Run(fam.name, func(t *testing.T) {
 			rec := NewRecorder(g.N())
-			if err := fam.run(g, seed, dist.ModeAuto, rec); err != nil {
+			if err := fam.run(g, seed, rec); err != nil {
 				t.Fatal(err)
 			}
 			got := rec.Digest().Run

@@ -21,16 +21,18 @@ type Meta struct {
 	Seed int64 `json:"seed"`
 	// Label names the run for humans ("twospanner n=64 p=0.2", ...).
 	Label string `json:"label,omitempty"`
-	// Mode is the execution mode's CLI spelling, recorded so a digest
-	// mismatch can be attributed; equal digests are expected across modes.
+	// Mode labels how the transcript was delivered — "local" for the
+	// in-process engine (cmd/spanner), "tcp" for a coordinator over
+	// worker processes (cmd/coord) — so a digest mismatch can be
+	// attributed; equal digests are expected across delivery layers.
 	Mode string `json:"mode,omitempty"`
 }
 
 // The JSONL schema: one JSON object per line, discriminated by "type".
 //
-//	{"type":"meta","version":1,"n":64,"seed":1,"label":"...","mode":"step"}
+//	{"type":"meta","version":1,"n":64,"seed":1,"label":"...","mode":"local"}
 //	{"type":"event","kind":"send","round":3,"v":7,"peer":9,"tag":2,"bits":24}
-//	{"type":"event","kind":"deliver","round":3,"v":9,"peer":7,"boxed":true,"bits":24}
+//	{"type":"event","kind":"deliver","round":3,"v":9,"peer":7,"tag":2,"bits":24}
 //	{"type":"phase","round":3,"active":12,"parked":50,"senders":4,"delivered":9,"delivered_bits":216}
 //	{"type":"timing","round":3,"wall_ns":41250,"step_ns":30100,"route_ns":9800,"sync_ns":1350}
 //	{"type":"digest","run":"8f3c...","vertex":["ab12...","..."]}
@@ -57,7 +59,6 @@ type jsonLine struct {
 	V     *int   `json:"v,omitempty"`
 	Peer  *int   `json:"peer,omitempty"`
 	Tag   uint8  `json:"tag,omitempty"`
-	Boxed bool   `json:"boxed,omitempty"`
 	Bits  int    `json:"bits,omitempty"`
 
 	// phase
@@ -104,7 +105,7 @@ func WriteJSONL(w io.Writer, meta Meta, r *Recorder) error {
 			vv, peer := ev.V, ev.Peer
 			if err := writeLine(bw, jsonLine{
 				Type: "event", Kind: ev.Kind.String(), Round: ev.Round,
-				V: &vv, Peer: &peer, Tag: ev.Tag, Boxed: ev.Boxed, Bits: ev.Bits,
+				V: &vv, Peer: &peer, Tag: ev.Tag, Bits: ev.Bits,
 			}); err != nil {
 				return err
 			}
@@ -193,7 +194,7 @@ func ReadJSONL(rd io.Reader) (*Log, error) {
 			if l.Round < 0 {
 				return nil, fmt.Errorf("trace: line %d: negative round %d", lineno, l.Round)
 			}
-			ev := dist.TraceEvent{Kind: kind, Round: l.Round, V: *l.V, Peer: *l.Peer, Tag: l.Tag, Boxed: l.Boxed, Bits: l.Bits}
+			ev := dist.TraceEvent{Kind: kind, Round: l.Round, V: *l.V, Peer: *l.Peer, Tag: l.Tag, Bits: l.Bits}
 			if err := log.Recorder.addEvent(ev); err != nil {
 				return nil, fmt.Errorf("trace: line %d: %v", lineno, err)
 			}

@@ -21,18 +21,22 @@ func realRecorder(t *testing.T) *Recorder {
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
 	rec := NewRecorder(g.N())
-	_, err := dist.Run(dist.Config{Graph: g, Seed: 7, Tracer: rec}, func(ctx *dist.Ctx) {
-		if ctx.ID() == 3 {
-			for {
-				if _, ok := ctx.Recv(); !ok {
-					return
+	_, err := dist.RunMachines(dist.Config{Graph: g, Seed: 7, Tracer: rec}, func(*dist.Ctx) dist.Machine {
+		r := 0
+		return gossipStep(func(ctx *dist.Ctx, in dist.StepIn) dist.StepStatus {
+			if ctx.ID() == 3 {
+				if in.Quiesced {
+					return dist.StepDone
 				}
+				return dist.StepPark
 			}
-		}
-		for r := 0; r < 3; r++ {
-			ctx.Broadcast(intPayload(r))
-			ctx.NextRound()
-		}
+			if r == 3 {
+				return dist.StepDone
+			}
+			ctx.BroadcastRec(dist.Rec{Tag: 1, A: int64(r)}, 8)
+			r++
+			return dist.StepYield
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,13 +47,14 @@ func realRecorder(t *testing.T) *Recorder {
 	return rec
 }
 
-type intPayload int
+// gossipStep adapts a function to dist.Machine.
+type gossipStep func(*dist.Ctx, dist.StepIn) dist.StepStatus
 
-func (intPayload) Bits() int { return 8 }
+func (f gossipStep) Step(c *dist.Ctx, in dist.StepIn) dist.StepStatus { return f(c, in) }
 
 func TestJSONLRoundTrip(t *testing.T) {
 	rec := realRecorder(t)
-	meta := Meta{Seed: 7, Label: "gossip path4", Mode: "auto"}
+	meta := Meta{Seed: 7, Label: "gossip path4", Mode: "local"}
 
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, meta, rec); err != nil {
@@ -59,7 +64,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if log.Meta.N != 4 || log.Meta.Seed != 7 || log.Meta.Label != "gossip path4" || log.Meta.Mode != "auto" {
+	if log.Meta.N != 4 || log.Meta.Seed != 7 || log.Meta.Label != "gossip path4" || log.Meta.Mode != "local" {
 		t.Errorf("meta round-trip: %+v", log.Meta)
 	}
 	if !reflect.DeepEqual(log.Recorder.events, rec.events) {

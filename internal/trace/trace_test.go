@@ -16,8 +16,8 @@ import (
 // one exchange, one phase, one timing entry.
 func sampleRecorder() *Recorder {
 	r := NewRecorder(2)
-	r.Event(dist.TraceEvent{Kind: dist.TraceSend, Round: 1, V: 0, Peer: 1, Boxed: true, Bits: 8})
-	r.Event(dist.TraceEvent{Kind: dist.TraceDeliver, Round: 1, V: 1, Peer: 0, Boxed: true, Bits: 8})
+	r.Event(dist.TraceEvent{Kind: dist.TraceSend, Round: 1, V: 0, Peer: 1, Tag: 1, Bits: 8})
+	r.Event(dist.TraceEvent{Kind: dist.TraceDeliver, Round: 1, V: 1, Peer: 0, Tag: 1, Bits: 8})
 	r.Event(dist.TraceEvent{Kind: dist.TraceRetire, Round: 2, V: 0, Peer: -1})
 	r.Event(dist.TraceEvent{Kind: dist.TraceRetire, Round: 2, V: 1, Peer: -1})
 	r.Phase(dist.RoundActivity{Round: 1, Active: 2, Senders: 1, Delivered: 1, DeliveredBits: 8})
@@ -68,9 +68,6 @@ func TestDigestSensitivity(t *testing.T) {
 		},
 		"event bits": func(r *Recorder) {
 			r.events[0][0].Bits = 9
-		},
-		"event boxed": func(r *Recorder) {
-			r.events[0][0].Boxed = false
 		},
 		"event tag": func(r *Recorder) {
 			r.events[0][0].Tag = 3
