@@ -132,7 +132,7 @@ protocol:
 	for {
 		// Phase 1: gather every shard's classification/metering report.
 		for i := 0; i < w; i++ {
-			f, err := ct.Recv(i)
+			f, err := ct.Receive(i)
 			if err != nil {
 				runErr = fmt.Errorf("%w: round report from worker %d: %v", ErrTransport, i, err)
 				abortAll()
@@ -167,7 +167,7 @@ protocol:
 		}
 		// Phase 2: gather the dry wake scans.
 		for i := 0; i < w; i++ {
-			f, err := ct.Recv(i)
+			f, err := ct.Receive(i)
 			if err != nil {
 				fail(fmt.Errorf("%w: wake report from worker %d: %v", ErrTransport, i, err))
 				break protocol
@@ -317,7 +317,7 @@ protocol:
 		events = make([][]TraceEvent, n)
 	}
 	for i := 0; i < w; i++ {
-		f, err := ct.Recv(i)
+		f, err := ct.Receive(i)
 		if err != nil {
 			if runErr == nil {
 				runErr = fmt.Errorf("%w: result from worker %d: %v", ErrTransport, i, err)

@@ -81,7 +81,7 @@ type shardWorker struct {
 // coordinator through the protocol so the whole run aborts cleanly).
 func ServeShard(wt WorkerTransport, resolve ProgramResolver) error {
 	defer wt.Close()
-	f, err := wt.Recv()
+	f, err := wt.Receive()
 	if err != nil {
 		return err
 	}
@@ -114,7 +114,7 @@ func failSetup(wt WorkerTransport, cause error) error {
 // (or a transport failure), keeping the two sides in lockstep.
 func drainToAbort(wt WorkerTransport) {
 	for {
-		f, err := wt.Recv()
+		f, err := wt.Receive()
 		if err != nil {
 			return
 		}
@@ -205,7 +205,7 @@ func (w *shardWorker) run() error {
 		if err := w.wt.Send(&Frame{Type: FrameRound, Round: w.classify()}); err != nil {
 			return err
 		}
-		f, err := w.wt.Recv()
+		f, err := w.wt.Receive()
 		if err != nil {
 			return err
 		}
@@ -225,7 +225,7 @@ func (w *shardWorker) run() error {
 		if err := w.wt.Send(&Frame{Type: FrameWake, Wake: w.wakeScan(in)}); err != nil {
 			return err
 		}
-		f, err = w.wt.Recv()
+		f, err = w.wt.Receive()
 		if err != nil {
 			return err
 		}

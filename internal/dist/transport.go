@@ -251,17 +251,17 @@ type ResultFrame struct {
 // performs (no concurrent calls are made).
 type WorkerTransport interface {
 	Send(f *Frame) error
-	Recv() (*Frame, error)
+	Receive() (*Frame, error)
 	Close() error
 }
 
-// CoordTransport is the coordinator's view of all workers. Recv blocks
+// CoordTransport is the coordinator's view of all workers. Receive blocks
 // on one worker's next frame; the protocol gathers workers in index
 // order, which is safe because workers progress independently.
 type CoordTransport interface {
 	Workers() int
 	Send(worker int, f *Frame) error
-	Recv(worker int) (*Frame, error)
+	Receive(worker int) (*Frame, error)
 	Close() error
 }
 
@@ -353,9 +353,9 @@ type chanWorker struct {
 	up   *chanEndpoint // worker → coordinator
 }
 
-func (w *chanWorker) Send(f *Frame) error   { return w.up.send(f) }
-func (w *chanWorker) Recv() (*Frame, error) { return w.down.recv() }
-func (w *chanWorker) Close() error          { w.up.close(); w.down.close(); return nil }
+func (w *chanWorker) Send(f *Frame) error      { return w.up.send(f) }
+func (w *chanWorker) Receive() (*Frame, error) { return w.down.recv() }
+func (w *chanWorker) Close() error             { w.up.close(); w.down.close(); return nil }
 
 type chanCoord struct {
 	down []*chanEndpoint
@@ -366,7 +366,7 @@ func (c *chanCoord) Workers() int { return len(c.down) }
 
 func (c *chanCoord) Send(worker int, f *Frame) error { return c.down[worker].send(f) }
 
-func (c *chanCoord) Recv(worker int) (*Frame, error) { return c.up[worker].recv() }
+func (c *chanCoord) Receive(worker int) (*Frame, error) { return c.up[worker].recv() }
 
 func (c *chanCoord) Close() error {
 	for i := range c.down {

@@ -27,8 +27,8 @@ type corruptCoord struct {
 	fired bool
 }
 
-func (c *corruptCoord) Recv(w int) (*dist.Frame, error) {
-	f, err := c.CoordTransport.Recv(w)
+func (c *corruptCoord) Receive(w int) (*dist.Frame, error) {
+	f, err := c.CoordTransport.Receive(w)
 	if err != nil || c.fired || f.Round == nil {
 		return f, err
 	}

@@ -84,9 +84,9 @@ type TCPWorker struct {
 
 var _ dist.WorkerTransport = (*TCPWorker)(nil)
 
-func (w *TCPWorker) Send(f *dist.Frame) error   { return w.send(f) }
-func (w *TCPWorker) Recv() (*dist.Frame, error) { return w.recv() }
-func (w *TCPWorker) Close() error               { return w.close() }
+func (w *TCPWorker) Send(f *dist.Frame) error      { return w.send(f) }
+func (w *TCPWorker) Receive() (*dist.Frame, error) { return w.recv() }
+func (w *TCPWorker) Close() error                  { return w.close() }
 
 // Dial connects a worker to the coordinator at addr.
 func Dial(addr string) (*TCPWorker, error) {
@@ -126,7 +126,7 @@ func (c *TCPCoord) Workers() int { return len(c.conns) }
 
 func (c *TCPCoord) Send(worker int, f *dist.Frame) error { return c.conns[worker].send(f) }
 
-func (c *TCPCoord) Recv(worker int) (*dist.Frame, error) { return c.conns[worker].recv() }
+func (c *TCPCoord) Receive(worker int) (*dist.Frame, error) { return c.conns[worker].recv() }
 
 func (c *TCPCoord) Close() error {
 	var first error

@@ -200,7 +200,7 @@ func TestTCPWorkerDropMidRound(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if _, err := wt.Recv(); err != nil {
+		if _, err := wt.Receive(); err != nil {
 			t.Errorf("dropper: recv setup: %v", err)
 		}
 		wt.Close()
