@@ -61,7 +61,7 @@ func TestActivityCurveWithParkedVertices(t *testing.T) {
 	// Path 0-1-2. Vertex 0 idles for 3 rounds, then pings vertex 1 and
 	// retires; vertices 1 and 2 park immediately. The hand-derived curve:
 	// round 1 is the initial step of all three vertices (two of them
-	// park); rounds 2-3 only the driver runs; round 4 carries the ping,
+	// park); rounds 2-3 only vertex 0 runs; round 4 carries the ping,
 	// whose delivery unparks vertex 1. The finalization steps after the
 	// last completed round (retirements, quiescence release of vertex 2)
 	// belong to no round and are not counted.

@@ -13,7 +13,7 @@ import (
 //   - BenchmarkMachineBusy: fully-busy record gossip (every vertex
 //     broadcasts every round) — every round steps and routes all n
 //     vertices.
-//   - BenchmarkQuietRounds: one driver vertex, everyone else parked —
+//   - BenchmarkQuietRounds: one active vertex, everyone else parked —
 //     the regime the spanner algorithms' tails live in, where a round
 //     must cost O(#active), not O(n).
 //   - BenchmarkSparseActivity: a tunable fraction of active vertices,
@@ -65,7 +65,7 @@ func runBench(b *testing.B, cfg Config, rounds int, factory func(*Ctx) Machine) 
 // first neighbor and yield, every round); the rest park until a record
 // arrives and are released by quiescence. Actives near the boundary wake
 // a couple of parked vertices per round, as real protocol frontiers do.
-// activeCount 1 is the quiet extreme: one driver pinging one neighbor.
+// activeCount 1 is the quiet extreme: one vertex pinging one neighbor.
 func sparseMachine(activeCount int) func(*Ctx) Machine {
 	return func(c *Ctx) Machine {
 		round := 0

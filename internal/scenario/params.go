@@ -116,10 +116,11 @@ func (p Params) Key() string {
 var execOnlyParams = map[string]bool{"timing": true, "transport": true, "obs": true}
 
 // CheckExecParams validates the execution-only parameters of p, so a
-// driver can reject a malformed request before it is keyed or run:
-// "timing" must be a bool and "transport" local or chanK. The removed
-// "engine" parameter is rejected by name — accepted silently it would
-// become an instance parameter and move cache keys and sweep seeds.
+// caller (spannerd, cmd/sweep) can reject a malformed request before it
+// is keyed or run: "timing" must be a bool and "transport" local or
+// chanK. The removed "engine" parameter is rejected by name — accepted
+// silently it would become an instance parameter and move cache keys
+// and sweep seeds.
 func CheckExecParams(p Params) error {
 	if _, ok := p["engine"]; ok {
 		return errors.New(`scenario: the "engine" parameter was removed: every run uses the one step engine`)

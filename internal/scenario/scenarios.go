@@ -106,7 +106,7 @@ func parseTransport(p Params) (int, error) {
 }
 
 // transportShards is parseTransport for a run: a malformed value that
-// got past CheckExecParams is a driver bug and panics.
+// got past CheckExecParams is a caller bug and panics.
 func transportShards(p Params) int {
 	k, err := parseTransport(p)
 	if err != nil {
