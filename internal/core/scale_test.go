@@ -35,10 +35,11 @@ func hubRing(n, spacing, span int) *graph.Graph {
 	return g
 }
 
-// TestTwoSpannerMillionVertexStep is the scale contract of the step
-// engine: a full two-spanner run at n = 1,000,000 on one box. The engine
-// holds one small machine struct per vertex, with no goroutine or stack,
-// and scans the active set. Skipped under -short — CI's full test
+// TestTwoSpannerMillionVertexStep is the scale contract of the
+// goroutine-free step engine: a full two-spanner run at n = 1,000,000 on
+// one box. The blocking engines cannot touch this size (a million
+// goroutine stacks); the step engine holds one small machine struct per
+// vertex and scans the active set. Skipped under -short — CI's full test
 // job runs it.
 func TestTwoSpannerMillionVertexStep(t *testing.T) {
 	if testing.Short() {
@@ -63,7 +64,7 @@ func TestTwoSpannerMillionVertexStep(t *testing.T) {
 		n, res.Spanner.Len(), res.Iterations, res.Stats.Rounds, res.Stats.Messages)
 }
 
-// runTwoSpannerProgram runs TwoSpannerProgram on g under run (the step
+// runTwoSpannerProgram runs TwoSpannerProgram on cfg under run (the step
 // engine or the reference interpreter) and returns the spanner it
 // outputs and the run's Stats.
 func runTwoSpannerProgram(t *testing.T, run func(dist.Config, func(*dist.Ctx) dist.Machine) (*dist.Stats, error), cfg dist.Config) (*graph.EdgeSet, dist.Stats) {
