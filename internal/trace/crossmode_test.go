@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"distspanner/internal/core"
@@ -17,45 +19,74 @@ import (
 // run through its public entry point on the step engine, must produce
 // the identical logical transcript (same Digest) as its distrun shard
 // program run by the sequential reference interpreter. The digest
-// collapses the full per-vertex transcript, so any divergence in
-// message content, order, lifecycle, or per-round activity fails here.
+// collapses each vertex's event sequence — kind, round, peer, tag and
+// metered size of every send and delivery — plus the per-round activity,
+// so any divergence in message order, sizes, lifecycle, or activity fails
+// here. Record contents are not folded: a change that alters payload
+// values without moving a size passes, which is why golden_test.go also
+// pins each family's output.
 
 // algoFamilies enumerates the dist-engine algorithm families the
 // scenario registry exposes, each run the way its scenario runs it. The
 // names are the distrun registry keys, whose programs derive the same
-// auxiliary inputs (orientations, splits, weights) from (g, seed).
+// auxiliary inputs (orientations, splits, weights) from (g, seed). run
+// returns the run's output fingerprint (spannerPrint / mdsPrint).
 var algoFamilies = []struct {
 	name string
-	run  func(g *graph.Graph, seed int64, tr dist.Tracer) error
+	run  func(g *graph.Graph, seed int64, tr dist.Tracer) (string, error)
 }{
-	{"twospanner", func(g *graph.Graph, seed int64, tr dist.Tracer) error {
-		_, err := core.TwoSpanner(g, core.Options{Seed: seed, Tracer: tr})
-		return err
+	{"twospanner", func(g *graph.Graph, seed int64, tr dist.Tracer) (string, error) {
+		return spannerPrint(core.TwoSpanner(g, core.Options{Seed: seed, Tracer: tr}))
 	}},
-	{"congest", func(g *graph.Graph, seed int64, tr dist.Tracer) error {
-		_, err := core.TwoSpannerCongest(g, core.Options{Seed: seed, Tracer: tr})
-		return err
+	{"congest", func(g *graph.Graph, seed int64, tr dist.Tracer) (string, error) {
+		res, err := core.TwoSpannerCongest(g, core.Options{Seed: seed, Tracer: tr})
+		if err != nil {
+			return "", err
+		}
+		return spannerPrint(&res.Result, nil)
 	}},
-	{"directed", func(g *graph.Graph, seed int64, tr dist.Tracer) error {
+	{"directed", func(g *graph.Graph, seed int64, tr dist.Tracer) (string, error) {
 		d := gen.OrientRandomly(g, 0.3, seed)
-		_, err := core.DirectedTwoSpanner(d, core.Options{Seed: seed, Tracer: tr})
-		return err
+		return spannerPrint(core.DirectedTwoSpanner(d, core.Options{Seed: seed, Tracer: tr}))
 	}},
-	{"cs", func(g *graph.Graph, seed int64, tr dist.Tracer) error {
+	{"cs", func(g *graph.Graph, seed int64, tr dist.Tracer) (string, error) {
 		clients, servers := gen.ClientServerSplit(g, 0.5, 0.8, seed)
-		_, err := core.ClientServerTwoSpanner(g, clients, servers, core.Options{Seed: seed, Tracer: tr})
-		return err
+		return spannerPrint(core.ClientServerTwoSpanner(g, clients, servers, core.Options{Seed: seed, Tracer: tr}))
 	}},
-	{"weighted", func(g *graph.Graph, seed int64, tr dist.Tracer) error {
+	{"weighted", func(g *graph.Graph, seed int64, tr dist.Tracer) (string, error) {
 		wg := g.Clone()
 		gen.RandomWeights(wg, 1, 8, seed)
-		_, err := core.TwoSpanner(wg, core.Options{Seed: seed, Tracer: tr})
-		return err
+		return spannerPrint(core.TwoSpanner(wg, core.Options{Seed: seed, Tracer: tr}))
 	}},
-	{"mds", func(g *graph.Graph, seed int64, tr dist.Tracer) error {
-		_, err := mds.Run(g, mds.Options{Seed: seed, Tracer: tr})
-		return err
+	{"mds", func(g *graph.Graph, seed int64, tr dist.Tracer) (string, error) {
+		res, err := mds.Run(g, mds.Options{Seed: seed, Tracer: tr})
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("set=%s", intsHash(res.DominatingSet)), nil
 	}},
+}
+
+// spannerPrint fingerprints a 2-spanner result: an FNV-1a hash of its
+// sorted edge indices plus Cost, Iterations and Fallbacks.
+func spannerPrint(res *core.Result, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("edges=%s cost=%g iters=%d fallbacks=%d",
+		intsHash(res.Spanner.Slice()), res.Cost, res.Iterations, res.Fallbacks), nil
+}
+
+// intsHash is the FNV-1a 64-bit hash of xs, each value as 8 little-endian
+// bytes, in hex.
+func intsHash(xs []int) string {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, x := range xs {
+		binary.LittleEndian.PutUint64(b[:], uint64(x))
+		h.Write(b[:])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // referenceRun runs the named family's distrun program on (g, seed)
@@ -85,7 +116,7 @@ func TestCrossModeDigestEquality(t *testing.T) {
 			for seed := int64(1); seed <= 2; seed++ {
 				t.Run(fmt.Sprintf("%s/%s/seed=%d", fam.name, gname, seed), func(t *testing.T) {
 					eng, ref := NewRecorder(g.N()), NewRecorder(g.N())
-					if err := fam.run(g, seed, eng); err != nil {
+					if _, err := fam.run(g, seed, eng); err != nil {
 						t.Fatalf("engine: %v", err)
 					}
 					if err := referenceRun(fam.name, g, seed, ref); err != nil {
