@@ -168,3 +168,24 @@ func TestAblationNoRoundingStillValid(t *testing.T) {
 	// Exact comparisons make candidacy rarer (strictly max density), so
 	// the run still terminates; that is the main point of this test.
 }
+
+func TestAblationVoteDenominatorReachesDirected(t *testing.T) {
+	// The directed protocol runs the shared iteration, so the acceptance
+	// knob applies to it too: demanding votes >= |C_v| must change the
+	// run on a digraph with dense stars.
+	d := gen.RandomDigraph(40, 0.3, 1)
+	def, err := DirectedTwoSpanner(d, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	strict, err := DirectedTwoSpanner(d, Options{Seed: 1, VoteDenominator: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strict.Stats == def.Stats {
+		t.Fatalf("VoteDenominator 1 left the directed run unchanged: %+v", def.Stats)
+	}
+	if !span.IsDirectedKSpanner(d, strict.Spanner, 2) {
+		t.Fatal("strict directed variant invalid")
+	}
+}

@@ -382,29 +382,18 @@ type CongestResult struct {
 // bandwidth. The price is Θ(Δ) physical rounds per logical round,
 // demonstrating the overhead the paper's discussion section describes.
 func TwoSpannerCongest(g *graph.Graph, opts Options) (*CongestResult, error) {
-	if g.Weighted() {
-		return nil, errors.New("core: the CONGEST variant is unweighted (densities ship as count rationals)")
+	r, err := congestRun(g, opts)
+	if err != nil {
+		return nil, err
 	}
 	bandwidth := CongestBandwidth(g.N())
-	ru := newURun(g)
-	subrounds := congestSubrounds(g.MaxDegree())
-	stats, err := dist.RunMachines(dist.Config{
-		Graph:     g,
-		Seed:      opts.Seed,
-		Bandwidth: bandwidth,
-		Enforce:   true,
-		MaxRounds: opts.MaxRounds,
-		OnRound:   opts.RoundHook,
-		Cancel:    opts.Cancel,
-		Tracer:    opts.Tracer,
-		Shards:    opts.Shards,
-	}, congestFactory(ru, opts))
+	res, err := r.execute(dist.Config{Bandwidth: bandwidth, Enforce: true})
 	if err != nil {
 		return nil, err
 	}
 	return &CongestResult{
-		Result:    *ru.result(stats),
-		Subrounds: subrounds,
+		Result:    *res,
+		Subrounds: congestSubrounds(g.MaxDegree()),
 		Bandwidth: bandwidth,
 	}, nil
 }
@@ -425,16 +414,17 @@ func congestSubrounds(maxDegree int) int {
 	return sub
 }
 
-// congestFactory wraps the undirected factory in the Section 1.3
-// fragmenting CONGEST adapter.
-func congestFactory(ru *uRun, opts Options) func(*dist.Ctx) dist.Machine {
-	maxDeg := ru.g.MaxDegree()
-	v := twoSpannerVariant(false)
-	return func(ctx *dist.Ctx) dist.Machine {
-		cc := newCongestCtx(ctx, maxDeg)
-		nd := newUndirectedNode(cc, ru.g, v, ru.outs, ru.iters, &ru.fallbacks)
-		nd.opts = opts
-		nd.tele = ru.tele
-		return newCongestMachine(cc, dist.NewPhasedMachine(nd))
+// congestRun is the plain 2-spanner run with its factory wrapped in the
+// Section 1.3 fragmenting CONGEST adapter.
+func congestRun(g *graph.Graph, opts Options) (*run, error) {
+	if g.Weighted() {
+		return nil, errors.New("core: the CONGEST variant is unweighted (densities ship as count rationals)")
 	}
+	r := twoSpannerRun(g, opts)
+	maxDeg := g.MaxDegree()
+	r.factory = func(ctx *dist.Ctx) dist.Machine {
+		cc := newCongestCtx(ctx, maxDeg)
+		return newCongestMachine(cc, r.machine(cc))
+	}
+	return r, nil
 }

@@ -140,12 +140,12 @@ func TestDirViewDensity(t *testing.T) {
 	// directed H edge (1,2) and its reverse (2,1).
 	dv := newDirView(map[int]int{1: 2, 2: 1}, [][2]int{{1, 2}, {2, 1}})
 	full := []bool{true, true}
-	s, c := dv.dirValue(full)
+	s, c := dv.starValue(full)
 	if s != 2 || c != 3 {
-		t.Fatalf("dirValue = (%f, %f), want (2, 3)", s, c)
+		t.Fatalf("starValue = (%f, %f), want (2, 3)", s, c)
 	}
-	if d := dv.dirDensity(full); math.Abs(d-2.0/3.0) > 1e-9 {
-		t.Fatalf("dirDensity = %f, want 2/3", d)
+	if d := density(dv, full); math.Abs(d-2.0/3.0) > 1e-9 {
+		t.Fatalf("density = %f, want 2/3", d)
 	}
 }
 
@@ -155,18 +155,18 @@ func TestDirViewApproxWithinFactor2(t *testing.T) {
 	nbrs := map[int]int{1: 1, 2: 2, 3: 1, 4: 2}
 	h := [][2]int{{1, 2}, {2, 1}, {2, 3}, {3, 4}, {4, 1}}
 	dv := newDirView(nbrs, h)
-	_, approx := dv.approxDensest(nil)
+	_, approx := dv.densestStar(nil)
 	// Brute force the true densest directed density over neighbor subsets.
 	best := 0.0
 	ids := []int{1, 2, 3, 4}
 	for mask := 1; mask < 16; mask++ {
-		sel := make([]bool, len(dv.uv.nbrs))
+		sel := make([]bool, len(dv.nbrs))
 		for b, id := range ids {
 			if mask&(1<<uint(b)) != 0 {
-				sel[dv.uv.pos[id]] = true
+				sel[dv.pos[id]] = true
 			}
 		}
-		if d := dv.dirDensity(sel); d > best {
+		if d := density(dv, sel); d > best {
 			best = d
 		}
 	}

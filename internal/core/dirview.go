@@ -10,9 +10,10 @@ import "sort"
 // neighbors. Densities used for thresholds are the true directed densities
 // of the converted stars, and the Section 4.1 extension rule runs with
 // threshold ρ/8 instead of ρ/4 (the paper's adjustment for working with a
-// 2-approximation).
+// 2-approximation). Only the valuation and the oracle differ from
+// localView; the star-choice rule is the shared chooseStar.
 type dirView struct {
-	uv     *localView
+	*localView
 	dirCnt []float64      // directed star edges (1 or 2) per position
 	mult   map[[2]int]int // directed multiplicity per unordered position pair
 }
@@ -45,31 +46,34 @@ func newDirView(nbrs map[int]int, hDir [][2]int) *dirView {
 		return pairs[i][1] < pairs[j][1]
 	})
 	uv := newLocalView(selectable, nil, pairs)
-	dv := &dirView{uv: uv, dirCnt: make([]float64, len(uv.nbrs)), mult: make(map[[2]int]int, len(multByIDs))}
+	dv := &dirView{localView: uv, dirCnt: make([]float64, len(uv.nbrs)), mult: make(map[[2]int]int, len(multByIDs))}
 	//spanlint:ordered pos is a bijection over ids, so distinct iterations write distinct dirCnt slots
 	for id, cnt := range nbrs {
 		dv.dirCnt[uv.pos[id]] = float64(cnt)
 	}
 	//spanlint:ordered distinct id pairs map through the pos bijection to distinct normalized position pairs
 	for p, m := range multByIDs {
-		a, b := uv.pos[p[0]], uv.pos[p[1]]
-		if a > b {
-			a, b = b, a
-		}
-		dv.mult[[2]int{a, b}] = m
+		dv.mult[posPair(uv.pos[p[0]], uv.pos[p[1]])] = m
 	}
 	return dv
 }
 
-// dirValue returns the directed 2-spanned count and directed star size of
-// the selection.
-func (dv *dirView) dirValue(sel []bool) (spanned, size float64) {
+func posPair(a, b int) [2]int {
+	if a > b {
+		a, b = b, a
+	}
+	return [2]int{a, b}
+}
+
+// starValue returns the directed 2-spanned count and directed star size
+// of the selection.
+func (dv *dirView) starValue(sel []bool) (spanned, size float64) {
 	for p, in := range sel {
 		if !in {
 			continue
 		}
 		size += dv.dirCnt[p]
-		for _, q := range dv.uv.hAdj[p] {
+		for _, q := range dv.hAdj[p] {
 			if q > p && sel[q] {
 				spanned += float64(dv.mult[[2]int{p, q}])
 			}
@@ -78,120 +82,25 @@ func (dv *dirView) dirValue(sel []bool) (spanned, size float64) {
 	return spanned, size
 }
 
-// dirDensity is the true directed density ρ_D of the selection.
-func (dv *dirView) dirDensity(sel []bool) float64 {
-	s, c := dv.dirValue(sel)
-	if c <= 0 {
-		return 0
+// gain is the directed count and size position p adds to sel.
+func (dv *dirView) gain(sel []bool, p int) (spanned, size float64) {
+	for _, q := range dv.hAdj[p] {
+		if sel[q] {
+			spanned += float64(dv.mult[posPair(p, q)])
+		}
 	}
-	return s / c
+	return spanned, dv.dirCnt[p]
 }
 
-// approxDensest returns the undirected-densest star and its directed
+// densestStar returns the undirected-densest star and its directed
 // density, a 2-approximation of the densest directed star (Claim 4.10).
-func (dv *dirView) approxDensest(allowed []bool) ([]bool, float64) {
-	sel, _ := dv.uv.densestStar(allowed)
+func (dv *dirView) densestStar(allowed []bool) ([]bool, float64) {
+	sel, _ := dv.localView.densestStar(allowed)
 	if sel == nil {
 		return nil, 0
 	}
-	return sel, dv.dirDensity(sel)
+	return sel, density(dv, sel)
 }
 
-// chooseStar mirrors localView.chooseStar with directed densities and the
-// ρ/8 threshold.
-func (dv *dirView) chooseStar(rho float64, prev []bool) (sel []bool, fallback bool) {
-	threshold := rho / 8
-	if prev != nil {
-		if dv.dirDensity(prev) >= threshold {
-			return copyMask(prev), false
-		}
-		base, d := dv.approxDensest(prev)
-		if base != nil && d >= threshold {
-			dv.extend(base, threshold, prev)
-			return base, false
-		}
-		sel, _ := dv.fresh(threshold)
-		return sel, true
-	}
-	sel, _ = dv.fresh(threshold)
-	return sel, false
-}
-
-func (dv *dirView) fresh(threshold float64) ([]bool, float64) {
-	sel, d := dv.approxDensest(nil)
-	if sel == nil {
-		return make([]bool, len(dv.uv.nbrs)), 0
-	}
-	dv.extend(sel, threshold, nil)
-	return sel, d
-}
-
-// extend mirrors localView.extend under directed densities.
-func (dv *dirView) extend(sel []bool, threshold float64, within []bool) {
-	spanned, size := dv.dirValue(sel)
-	for {
-		progressed := false
-		for p := range dv.uv.nbrs {
-			if sel[p] || (within != nil && !within[p]) {
-				continue
-			}
-			gain := 0.0
-			for _, q := range dv.uv.hAdj[p] {
-				if sel[q] {
-					a, b := p, q
-					if a > b {
-						a, b = b, a
-					}
-					gain += float64(dv.mult[[2]int{a, b}])
-				}
-			}
-			if (spanned+gain)/(size+dv.dirCnt[p]) >= threshold {
-				sel[p] = true
-				spanned += gain
-				size += dv.dirCnt[p]
-				progressed = true
-			}
-		}
-		if progressed {
-			continue
-		}
-		allowed := make([]bool, len(dv.uv.nbrs))
-		any := false
-		for p := range dv.uv.nbrs {
-			if !sel[p] && (within == nil || within[p]) {
-				allowed[p] = true
-				any = true
-			}
-		}
-		if !any {
-			return
-		}
-		disj, d := dv.approxDensest(allowed)
-		if disj == nil || d < threshold {
-			return
-		}
-		for p, in := range disj {
-			if in {
-				sel[p] = true
-			}
-		}
-		spanned, size = dv.dirValue(sel)
-	}
-}
-
-// starNeighborIDs converts a selection to sorted neighbor ids.
-func (dv *dirView) starNeighborIDs(sel []bool) []int {
-	var out []int
-	for p, in := range sel {
-		if in {
-			out = append(out, dv.uv.nbrs[p])
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// maskFromIDs converts neighbor ids back to a selection mask.
-func (dv *dirView) maskFromIDs(ids []int) []bool {
-	return dv.uv.maskFromIDs(ids)
-}
+// threshold is ρ/8: Section 4.3.1's threshold for a 2-approximate oracle.
+func (dv *dirView) threshold(rho float64) float64 { return rho / 8 }

@@ -11,16 +11,16 @@ func TestDirViewChooseStarShrinkPath(t *testing.T) {
 	prev := dv.maskFromIDs([]int{1, 2})
 	// rho chosen so prev (density (1)/(2) = 0.5) stays acceptable at
 	// threshold rho/8 when rho = 4: 0.5 >= 0.5: kept.
-	sel, fb := dv.chooseStar(4, prev)
+	sel, fb := chooseStar(dv, 4, prev)
 	if fb {
 		t.Fatal("unexpected fallback")
 	}
-	if sel[dv.uv.pos[3]] {
+	if sel[dv.pos[3]] {
 		t.Fatal("shrink path escaped the previous star")
 	}
 	// With a much higher rho the previous star fails and the fallback
 	// (fresh choice) fires — the directed analogue's guard path.
-	_, fb2 := dv.chooseStar(64, prev)
+	_, fb2 := chooseStar(dv, 64, prev)
 	if !fb2 {
 		t.Fatal("expected fallback when prev contains no dense-enough star")
 	}
@@ -29,7 +29,7 @@ func TestDirViewChooseStarShrinkPath(t *testing.T) {
 func TestDirViewMaskFromIDs(t *testing.T) {
 	dv := newDirView(map[int]int{5: 1, 9: 2}, nil)
 	mask := dv.maskFromIDs([]int{9})
-	if mask[dv.uv.pos[5]] || !mask[dv.uv.pos[9]] {
+	if mask[dv.pos[5]] || !mask[dv.pos[9]] {
 		t.Fatal("maskFromIDs wrong")
 	}
 }

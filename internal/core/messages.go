@@ -5,8 +5,10 @@ import "distspanner/internal/dist"
 // Message schema for the 7-round-per-iteration LOCAL protocol, both
 // undirected and directed. Every message travels on the engine's
 // flat-buffer record path (dist.Rec): each struct below defines one wire
-// record — its tag, its field layout, and its metered size — and its
-// rec() builder maps the fields onto the flat record. Sizes follow
+// record — its field layout and its metered size — and its rec() builder
+// maps the fields onto the flat record. Layouts the two protocols share
+// take their tag from the protocol (tagSet); the directed star encoding
+// is dirStarMsg in directed.go. Sizes follow
 // CONGEST accounting (IDBits-sized words for ids, 64 bits for scalar
 // fields), which is what makes the O(Δ)-word messages of this LOCAL
 // algorithm measurably non-CONGEST (Section 1.3 discusses exactly this
@@ -18,7 +20,7 @@ import "distspanner/internal/dist"
 // persistent per-neighbor state, so a vertex whose state did not change
 // sends nothing and a parked vertex receives nothing. Each phase has a
 // distinct record tag — that is how a vertex woken from a park re-identifies
-// the current phase (see classifyUndirected / classifyDirected).
+// the current phase (see tagSet.classify).
 
 // Record tags. Tags within one protocol's phases are disjoint; the tag is
 // the type information the flat-buffer inbox carries.
@@ -38,19 +40,20 @@ const (
 	tagChunk // CONGEST fragment (congest.go)
 )
 
-// spanListMsg announces the sender's newly added incident spanner edges,
-// named by the far endpoint. Phase G'; sent only when the sender's
-// spanner membership grew since its last announcement.
+// spanListMsg announces the sender's newly added owned spanner edges,
+// named by the far endpoint (for the directed protocol, the heads of its
+// out-edges). Phase G'; sent only when the sender's spanner membership
+// grew since its last announcement.
 type spanListMsg struct {
 	nbrs []int
 	n    int
 }
 
-func (m spanListMsg) Bits() int     { return (1 + len(m.nbrs)) * dist.IDBits(m.n) }
-func (m spanListMsg) rec() dist.Rec { return dist.Rec{Tag: tagSpan, Ints: m.nbrs} }
+func (m spanListMsg) Bits() int              { return (1 + len(m.nbrs)) * dist.IDBits(m.n) }
+func (m spanListMsg) rec(tag uint8) dist.Rec { return dist.Rec{Tag: tag, Ints: m.nbrs} }
 
-// uncovMsg announces the sender's incident uncovered target edges, named
-// by the far endpoint: the full list once at start-up (full=true), then
+// uncovMsg announces the sender's uncovered owned edges, named by the far
+// endpoint: the full list once at start-up (full=true), then
 // only removals as edges become covered. Phase A. The full/removal
 // distinction is one transmitted bit.
 type uncovMsg struct {
@@ -61,8 +64,8 @@ type uncovMsg struct {
 
 //spanlint:bits full — the trailing +1 is the one-bit full/removal flag
 func (m uncovMsg) Bits() int { return (1+len(m.nbrs))*dist.IDBits(m.n) + 1 }
-func (m uncovMsg) rec() dist.Rec {
-	r := dist.Rec{Tag: tagUncov, Ints: m.nbrs}
+func (m uncovMsg) rec(tag uint8) dist.Rec {
+	r := dist.Rec{Tag: tag, Ints: m.nbrs}
 	if m.full {
 		r.Flag = 1
 	}
@@ -116,16 +119,17 @@ func (m starMsg) Bits() int     { return (1+len(m.star))*dist.IDBits(m.n) + 4*di
 func (m starMsg) rec() dist.Rec { return dist.Rec{Tag: tagStar, A: m.r, Ints: m.star} }
 
 // termMsg announces that the sender terminates and directly adds the listed
-// incident edges (by far endpoint) to the spanner. Phase D. It doubles as
-// the death notice: receivers drop the sender from every accumulated fold
-// and prune it from their broadcast lists.
+// incident edges to the spanner: by far endpoint, or for the directed
+// protocol as flattened (tail, head) pairs. Phase D. It doubles as the
+// death notice: receivers drop the sender from every accumulated fold and
+// prune it from their broadcast lists.
 type termMsg struct {
 	added []int
 	n     int
 }
 
-func (m termMsg) Bits() int     { return (1 + len(m.added)) * dist.IDBits(m.n) }
-func (m termMsg) rec() dist.Rec { return dist.Rec{Tag: tagTerm, Ints: m.added} }
+func (m termMsg) Bits() int              { return (1 + len(m.added)) * dist.IDBits(m.n) }
+func (m termMsg) rec(tag uint8) dist.Rec { return dist.Rec{Tag: tag, Ints: m.added} }
 
 // voteMsg carries the votes of the sender's owned uncovered edges for the
 // receiving candidate, as flattened (owner, far endpoint) id pairs.

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"errors"
-
 	"distspanner/internal/dist"
 	"distspanner/internal/graph"
 )
@@ -20,50 +18,33 @@ import (
 // weighted, chosen by g.Weighted()). Output(v) lists vertex v's
 // incident spanner edge indices, sorted.
 func TwoSpannerProgram(g *graph.Graph, opts Options) dist.ShardProgram {
-	ru := newURun(g)
-	return dist.ShardProgram{
-		Factory: ru.factory(twoSpannerVariant(g.Weighted()), opts),
-		Output:  ru.output,
-	}
+	return twoSpannerRun(g, opts).program()
 }
 
 // ClientServerTwoSpannerProgram is the shard program of
 // ClientServerTwoSpanner.
 func ClientServerTwoSpannerProgram(g *graph.Graph, clients, servers *graph.EdgeSet, opts Options) (dist.ShardProgram, error) {
-	v, err := clientServerVariant(g, clients, servers)
+	r, err := clientServerRun(g, clients, servers, opts)
 	if err != nil {
 		return dist.ShardProgram{}, err
 	}
-	ru := newURun(g)
-	return dist.ShardProgram{
-		Factory: ru.factory(v, opts),
-		Output:  ru.output,
-	}, nil
+	return r.program(), nil
 }
 
 // TwoSpannerCongestProgram is the shard program of TwoSpannerCongest.
 // The engine running it must enforce CongestBandwidth(g.N()) to
 // reproduce the local runner bit-for-bit.
 func TwoSpannerCongestProgram(g *graph.Graph, opts Options) (dist.ShardProgram, error) {
-	if g.Weighted() {
-		return dist.ShardProgram{}, errors.New("core: the CONGEST variant is unweighted (densities ship as count rationals)")
+	r, err := congestRun(g, opts)
+	if err != nil {
+		return dist.ShardProgram{}, err
 	}
-	ru := newURun(g)
-	return dist.ShardProgram{
-		Factory: congestFactory(ru, opts),
-		Output:  ru.output,
-	}, nil
+	return r.program(), nil
 }
 
 // DirectedTwoSpannerProgram is the shard program of DirectedTwoSpanner.
 // The engine topology is d's underlying undirected graph, carried as
 // the program's Graph override (it has the same vertex count).
 func DirectedTwoSpannerProgram(d *graph.Digraph, opts Options) dist.ShardProgram {
-	under, _ := d.Underlying()
-	dr := newDirRun(d)
-	return dist.ShardProgram{
-		Graph:   under,
-		Factory: dr.factory(),
-		Output:  dr.output,
-	}
+	return directedRun(d, opts).program()
 }

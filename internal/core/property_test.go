@@ -143,11 +143,11 @@ func TestChooseStarDensityInvariantProperty(t *testing.T) {
 			return true
 		}
 		rho := RoundUpPow2(raw)
-		mask, fb := v.chooseStar(rho, nil)
+		mask, fb := chooseStar(v, rho, nil)
 		if fb {
 			return false
 		}
-		return v.density(mask) >= rho/4-1e-9
+		return density(v, mask) >= rho/4-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -84,15 +84,19 @@ func (v *localView) starValue(sel []bool) (spanned, cost float64) {
 	return spanned, cost
 }
 
-// density returns spanned/cost for the selection, 0 for an empty or
-// zero-cost selection.
-func (v *localView) density(sel []bool) float64 {
-	s, c := v.starValue(sel)
-	if c <= 0 {
-		return 0
+// gain is the spanned count and cost position p adds to sel.
+func (v *localView) gain(sel []bool, p int) (spanned, cost float64) {
+	spanned = v.bonus[p]
+	for _, q := range v.hAdj[p] {
+		if sel[q] {
+			spanned++
+		}
 	}
-	return s / c
+	return spanned, v.cost[p]
 }
+
+// threshold is the Section 4.1 star-choice threshold ρ/4.
+func (v *localView) threshold(rho float64) float64 { return rho / 4 }
 
 // densestStar computes the densest star among the allowed selectable
 // positions (nil means all) using the flow-based densest-selection oracle.
@@ -141,39 +145,67 @@ func (v *localView) densestStar(allowed []bool) ([]bool, float64) {
 	return sel, density
 }
 
+// starView is a vertex's view as the node and the Section 4.1 rule use
+// it: a valuation of selections over the selectable positions, a densest
+// star oracle, and the rule's threshold. localView is the exact view;
+// dirView swaps in the directed valuation and the approximate oracle.
+type starView interface {
+	// starValue returns the spanned count and cost of a selection.
+	starValue(sel []bool) (spanned, cost float64)
+	// gain returns what adding position p to sel adds to both.
+	gain(sel []bool, p int) (spanned, cost float64)
+	// densestStar returns the densest star among the allowed positions
+	// (nil means all) and its density, or (nil, 0) when none is allowed.
+	densestStar(allowed []bool) ([]bool, float64)
+	// threshold is the extension threshold at rounded density rho.
+	threshold(rho float64) float64
+	maskFromIDs(ids []int) []bool
+	starNeighborIDs(sel []bool) []int
+}
+
+// density returns spanned/cost for the selection, 0 for an empty or
+// zero-cost selection.
+func density(v starView, sel []bool) float64 {
+	s, c := v.starValue(sel)
+	if c <= 0 {
+		return 0
+	}
+	return s / c
+}
+
 // chooseStar implements the star-selection rule of Section 4.1. rho is the
 // vertex's rounded density this iteration; prev is the star chosen in the
 // previous iteration if the vertex was then a candidate at the same rounded
 // density (nil otherwise). It returns the chosen selection and whether the
 // degenerate fallback was taken (which Claim 4.4 proves never happens).
-func (v *localView) chooseStar(rho float64, prev []bool) (sel []bool, fallback bool) {
-	threshold := rho / 4
+func chooseStar(v starView, rho float64, prev []bool) (sel []bool, fallback bool) {
+	threshold := v.threshold(rho)
 	if prev != nil {
 		// Continuation at the same rounded density: shrink within prev.
-		if v.density(prev) >= threshold {
+		if density(v, prev) >= threshold {
 			return copyMask(prev), false
 		}
 		base, d := v.densestStar(prev)
 		if base != nil && d >= threshold {
-			v.extend(base, threshold, prev)
+			extend(v, base, threshold, prev)
 			return base, false
 		}
 		// Claim 4.4 says this branch is unreachable; fall back to a fresh
 		// choice and report it so tests can assert the invariant.
-		sel, _ := v.freshStar(threshold)
-		return sel, true
+		return freshStar(v, threshold), true
 	}
-	sel, _ = v.freshStar(threshold)
-	return sel, false
+	return freshStar(v, threshold), false
 }
 
-func (v *localView) freshStar(threshold float64) ([]bool, float64) {
-	sel, d := v.densestStar(nil)
+// freshStar is the densest star extended per Section 4.1 (the empty
+// selection when there are no selectable positions).
+func freshStar(v starView, threshold float64) []bool {
+	sel, _ := v.densestStar(nil)
 	if sel == nil {
-		return make([]bool, len(v.nbrs)), 0
+		return []bool{}
 	}
-	v.extend(sel, threshold, nil)
-	return sel, d
+	extend(v, sel, threshold, nil)
+	return sel
 }
 
 // extend grows sel per Section 4.1: repeatedly add a single star edge if
@@ -181,25 +213,20 @@ func (v *localView) freshStar(threshold float64) ([]bool, float64) {
 // density at least threshold; stop when neither exists. A non-nil within
 // restricts additions to that mask (the shrink path only adds from the
 // previous star).
-func (v *localView) extend(sel []bool, threshold float64, within []bool) {
+func extend(v starView, sel []bool, threshold float64, within []bool) {
 	spanned, cost := v.starValue(sel)
 	for {
 		progressed := false
 		// Single-edge additions, in position order for determinism.
-		for p := range v.nbrs {
+		for p := range sel {
 			if sel[p] || (within != nil && !within[p]) {
 				continue
 			}
-			gain := v.bonus[p]
-			for _, q := range v.hAdj[p] {
-				if sel[q] {
-					gain++
-				}
-			}
-			if (spanned+gain)/(cost+v.cost[p]) >= threshold {
+			gain, c := v.gain(sel, p)
+			if (spanned+gain)/(cost+c) >= threshold {
 				sel[p] = true
 				spanned += gain
-				cost += v.cost[p]
+				cost += c
 				progressed = true
 			}
 		}
@@ -208,9 +235,9 @@ func (v *localView) extend(sel []bool, threshold float64, within []bool) {
 		}
 		// Disjoint star addition: densest star among the remaining allowed
 		// positions.
-		allowed := make([]bool, len(v.nbrs))
+		allowed := make([]bool, len(sel))
 		any := false
-		for p := range v.nbrs {
+		for p := range sel {
 			if !sel[p] && (within == nil || within[p]) {
 				allowed[p] = true
 				any = true

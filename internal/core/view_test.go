@@ -87,11 +87,11 @@ func TestChooseStarFreshMeetsThreshold(t *testing.T) {
 	v := newLocalView(sel, nil, h)
 	_, raw := v.densestStar(nil)
 	rho := RoundUpPow2(raw)
-	mask, fb := v.chooseStar(rho, nil)
+	mask, fb := chooseStar(v, rho, nil)
 	if fb {
 		t.Fatal("fresh choice must not fall back")
 	}
-	if d := v.density(mask); d < rho/4-1e-9 {
+	if d := density(v, mask); d < rho/4-1e-9 {
 		t.Fatalf("chosen star density %f < rho/4 = %f", d, rho/4)
 	}
 }
@@ -105,7 +105,7 @@ func TestChooseStarExtensionAddsDisjoint(t *testing.T) {
 	v := newLocalView(sel, nil, h)
 	_, raw := v.densestStar(nil)
 	rho := RoundUpPow2(raw) // raw = 1, rho = 2
-	mask, fb := v.chooseStar(rho, nil)
+	mask, fb := chooseStar(v, rho, nil)
 	if fb {
 		t.Fatal("unexpected fallback")
 	}
@@ -127,7 +127,7 @@ func TestChooseStarShrinkPath(t *testing.T) {
 	v := newLocalView(sel, nil, [][2]int{{2, 3}})
 	prev := []bool{true, true, true}
 	rho := 1.0 // threshold 0.25; prev density = 1/3 >= 0.25: keep prev
-	mask, fb := v.chooseStar(rho, prev)
+	mask, fb := chooseStar(v, rho, prev)
 	if fb {
 		t.Fatal("unexpected fallback")
 	}
@@ -138,7 +138,7 @@ func TestChooseStarShrinkPath(t *testing.T) {
 	}
 	// With rho = 2 (threshold 0.5), prev density 1/3 < 0.5: shrink to the
 	// densest sub-star {2,3} (density 1/2).
-	mask2, fb2 := v.chooseStar(2, prev)
+	mask2, fb2 := chooseStar(v, 2, prev)
 	if fb2 {
 		t.Fatal("unexpected fallback on shrink")
 	}
@@ -157,7 +157,7 @@ func TestChooseStarShrinkNeverGrows(t *testing.T) {
 	// Dense pair {3,4} outside prev; prev = {1,2} with one edge.
 	v := newLocalView(sel, nil, [][2]int{{1, 2}, {3, 4}})
 	prev := []bool{true, true, false, false}
-	mask, fb := v.chooseStar(2, prev) // threshold 0.5; prev density 1/2: kept
+	mask, fb := chooseStar(v, 2, prev) // threshold 0.5; prev density 1/2: kept
 	if fb {
 		t.Fatal("unexpected fallback")
 	}
