@@ -35,3 +35,29 @@ func TestPreferentialAttachmentDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestGeneratorGoldens pins ConnectedGNP's exact edge list — order and
+// indices included — at the sizes the workloads use. Goldens, EXPERIMENTS.md,
+// sweep seeds and service cache keys all hash cgnp graphs, so any change to
+// the generator's random draws must show up here first.
+func TestGeneratorGoldens(t *testing.T) {
+	cases := []struct {
+		n    int
+		p    float64
+		seed int64
+		want uint64
+	}{
+		{10000, 0.0008, 1, 0x7125f8a47f043ef8},
+		{3000, 0.01, 1, 0xdd7801b025a50fe1},
+		{500, 0.3, 1, 0xfe3a0385f37e7ba7},
+		{64, 0.9, 1, 0x927382405da51713},
+		{48, 0.15, 1, 0x0fd8aa9ce41e8071}, // the transportconf gnp48 graph
+		{2, 0.5, 1, 0xfe7f444df88d1398},
+		{1, 0.5, 1, 0xcbf29ce484222325},
+	}
+	for _, c := range cases {
+		if got := edgeHash(ConnectedGNP(c.n, c.p, c.seed)); got != c.want {
+			t.Errorf("ConnectedGNP(%d, %v, %d): edge hash %#x, want %#x", c.n, c.p, c.seed, got, c.want)
+		}
+	}
+}
