@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"distspanner/internal/graph"
+	"distspanner/internal/span"
 )
 
 // BaswanaSenResult carries the spanner plus the construction's
@@ -143,7 +144,7 @@ func RandomStarSpanner(g *graph.Graph, seed int64) *graph.EdgeSet {
 	m := g.M()
 	H := graph.NewEdgeSet(m)
 	covered := graph.NewEdgeSet(m)
-	refreshCoverage(g, H, covered)
+	span.AddCovered(g, H, covered, 2)
 	for round := 0; round < 40*g.N(); round++ {
 		// Recompute densities (coarse; this is a comparator, not the
 		// contribution).
@@ -187,7 +188,7 @@ func RandomStarSpanner(g *graph.Graph, seed int64) *graph.EdgeSet {
 			progressed = true
 		}
 		if progressed {
-			refreshCoverage(g, H, covered)
+			span.AddCovered(g, H, covered, 2)
 		}
 	}
 	for i := 0; i < m; i++ {

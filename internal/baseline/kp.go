@@ -35,7 +35,7 @@ func KortsarzPeleg(g *graph.Graph) *graph.EdgeSet {
 			}
 		}
 	}
-	refreshCoverage(g, H, covered)
+	span.AddCovered(g, H, covered, 2)
 
 	density := make([]float64, g.N())
 	stars := make([][]int, g.N())
@@ -62,7 +62,7 @@ func KortsarzPeleg(g *graph.Graph) *graph.EdgeSet {
 			idx, _ := g.EdgeIndex(best, u)
 			H.Add(idx)
 		}
-		newlyCovered := refreshCoverage(g, H, covered)
+		newlyCovered := span.AddCovered(g, H, covered, 2)
 		markDirty(g, dirty, newlyCovered)
 	}
 	// Remaining uncovered edges are taken directly.
@@ -145,22 +145,6 @@ func densestStarOf(g *graph.Graph, covered *graph.EdgeSet, v int) (star []int, s
 	// Spanned count: pairs inside the selection plus bonuses.
 	prof, _ := in.Value(sel)
 	return star, prof, d
-}
-
-// refreshCoverage recomputes covered status for all uncovered edges and
-// returns the newly covered edge indices.
-func refreshCoverage(g *graph.Graph, H, covered *graph.EdgeSet) []int {
-	var newly []int
-	for i := 0; i < g.M(); i++ {
-		if covered.Has(i) {
-			continue
-		}
-		if span.Covered(g, H, i, 2) {
-			covered.Add(i)
-			newly = append(newly, i)
-		}
-	}
-	return newly
 }
 
 // markDirty invalidates cached densities of every vertex whose

@@ -198,11 +198,12 @@ func getGraph(r *reader) *graph.Graph {
 		if r.err != nil {
 			return nil
 		}
-		if u < 0 || u >= n || v < 0 || v >= n || u == v || g.HasEdge(u, v) {
+		// A new edge takes index i; AddEdge returns a repeat's earlier
+		// index, so one adjacency scan both inserts and detects duplicates.
+		if u < 0 || u >= n || v < 0 || v >= n || u == v || g.AddEdge(u, v) != i {
 			r.fail("invalid edge (%d,%d) in %d-vertex graph", u, v, n)
 			return nil
 		}
-		g.AddEdge(u, v)
 	}
 	if r.bool_() {
 		for i := 0; i < m; i++ {

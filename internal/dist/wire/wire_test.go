@@ -198,6 +198,46 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsDuplicateEdge checks that a graph whose edge list
+// repeats an edge, in either orientation, is refused: the decoder would
+// otherwise fold the repeat into the earlier edge and shift every later
+// edge index against the sender's.
+func TestDecodeRejectsDuplicateEdge(t *testing.T) {
+	g := graph.New(3)
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 2)
+	p, err := EncodeFrame(&dist.Frame{Type: dist.FrameSetup, Setup: &dist.SetupFrame{
+		Shard: 0, Workers: 1, Cuts: []int{0, 3}, Graph: g,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeFrame(p); err != nil {
+		t.Fatalf("valid frame: %v", err)
+	}
+	edges := func(ends ...int) []byte {
+		w := &writer{}
+		for _, x := range ends {
+			w.int_(x)
+		}
+		return w.b
+	}
+	at := bytes.Index(p, edges(0, 1, 1, 2))
+	if at < 0 {
+		t.Fatal("edge list not found in the encoded frame")
+	}
+	for name, second := range map[string][]byte{
+		"(0,1),(0,1)": edges(0, 1),
+		"(0,1),(1,0)": edges(1, 0),
+	} {
+		bad := append([]byte(nil), p...)
+		copy(bad[at+len(edges(0, 1)):], second) // overwrite the second edge
+		if _, err := DecodeFrame(bad); err == nil || !strings.Contains(err.Error(), "invalid edge") {
+			t.Errorf("%s: err = %v, want an invalid-edge error", name, err)
+		}
+	}
+}
+
 func TestReadFrameRejectsOversizedPrefix(t *testing.T) {
 	var hdr [4]byte
 	hdr[3] = 0xFF // length ≈ 4G

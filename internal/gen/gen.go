@@ -31,6 +31,11 @@ func GNP(n int, p float64, seed int64) *graph.Graph {
 // spanning-tree backbone is inserted first, then each remaining pair is
 // added independently with probability p. Useful because spanner problems
 // are defined on connected graphs.
+//
+// The draws are fixed, since goldens, sweep seeds and cache keys hash
+// these graphs: one rng.Perm(n), then one rng.Intn(i) for each i in
+// [1, n) to attach the tree, then exactly one rng.Float64() per pair
+// u < v that is not a tree edge, in row-major (u, then v) order.
 func ConnectedGNP(n int, p float64, seed int64) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	g := graph.New(n)
@@ -41,9 +46,20 @@ func ConnectedGNP(n int, p float64, seed int64) *graph.Graph {
 		j := rng.Intn(i)
 		g.AddEdge(perm[i], perm[j])
 	}
+	// When row u starts, every arc of u pointing above u is a tree edge:
+	// pair-loop edges of earlier rows point below u, and row u's own edges
+	// land on pairs already passed. Stamping those heads with u+1 replaces
+	// a per-pair adjacency scan with one array read.
+	stamp := make([]int32, n)
 	for u := 0; u < n; u++ {
+		mark := int32(u + 1)
+		for _, arc := range g.Adj(u) {
+			if arc.To > u {
+				stamp[arc.To] = mark
+			}
+		}
 		for v := u + 1; v < n; v++ {
-			if !g.HasEdge(u, v) && rng.Float64() < p {
+			if stamp[v] != mark && rng.Float64() < p {
 				g.AddEdge(u, v)
 			}
 		}

@@ -287,36 +287,10 @@ func (g *Graph) Ball(v, d int) []int {
 
 // DistWithin returns the hop distance from u to v using only edges in the
 // subset H, or -1 if v is farther than maxDepth (or unreachable). A
-// maxDepth < 0 means unbounded.
+// maxDepth < 0 means unbounded. It is the one-shot form of Search; a loop
+// that searches once per edge should hold one Search instead.
 func (g *Graph) DistWithin(u, v int, H *EdgeSet, maxDepth int) int {
-	g.checkVertex(u)
-	g.checkVertex(v)
-	if u == v {
-		return 0
-	}
-	dist := map[int]int{u: 0}
-	queue := []int{u}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		if maxDepth >= 0 && dist[x] >= maxDepth {
-			continue
-		}
-		for _, arc := range g.adj[x] {
-			if !H.Has(arc.Edge) {
-				continue
-			}
-			if _, seen := dist[arc.To]; seen {
-				continue
-			}
-			if arc.To == v {
-				return dist[x] + 1
-			}
-			dist[arc.To] = dist[x] + 1
-			queue = append(queue, arc.To)
-		}
-	}
-	return -1
+	return new(Search).Dist(g, u, v, H, maxDepth)
 }
 
 // AvgDegree returns 2m/n, the average degree, or 0 for an empty graph.

@@ -219,11 +219,7 @@ func sequential(g *graph.Graph, opts Options, order []int) (*Result, error) {
 			}
 		})
 		// Mark everything now covered by H.
-		for i := 0; i < g.M(); i++ {
-			if !covered.Has(i) && span.Covered(g, H, i, k) {
-				covered.Add(i)
-			}
-		}
+		span.AddCovered(g, H, covered, k)
 		res.Steps = append(res.Steps, Step{Vertex: v, Radius: chosenR, Added: added})
 	}
 	res.Spanner = H

@@ -125,10 +125,12 @@ func (s *Server) buildInline(in *InlineGraph) (*graph.Graph, *reqError) {
 		if u == v {
 			return nil, badRequest("inline graph: edge %d is a self-loop at %d", i, u)
 		}
-		if g.HasEdge(u, v) {
+		// A new edge takes index i; AddEdge returns a repeat's earlier
+		// index, so one adjacency scan both inserts and detects duplicates.
+		idx := g.AddEdge(u, v)
+		if idx != i {
 			return nil, badRequest("inline graph: duplicate edge [%d, %d]", u, v)
 		}
-		idx := g.AddEdge(u, v)
 		if in.Weights != nil {
 			w := in.Weights[i]
 			if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {

@@ -18,22 +18,29 @@ import (
 // stretch k: either i ∈ H or H contains a path of length at most k between
 // its endpoints.
 func Covered(g *graph.Graph, H *graph.EdgeSet, i, k int) bool {
+	return covered(new(graph.Search), g, H, i, k)
+}
+
+func covered(ws *graph.Search, g *graph.Graph, H *graph.EdgeSet, i, k int) bool {
 	if H.Has(i) {
 		return true
 	}
 	e := g.Edge(i)
-	return g.DistWithin(e.U, e.V, H, k) >= 0
+	return ws.Dist(g, e.U, e.V, H, k) >= 0
 }
 
-// CoveredDirected reports whether directed edge i of d is covered by H with
-// stretch k: either i ∈ H or H contains a directed path of length at most k
-// from its tail to its head.
-func CoveredDirected(d *graph.Digraph, H *graph.EdgeSet, i, k int) bool {
-	if H.Has(i) {
-		return true
+// AddCovered adds to done every edge of g that is not in it yet and is
+// covered by H with stretch k, and returns those edges in index order.
+func AddCovered(g *graph.Graph, H, done *graph.EdgeSet, k int) []int {
+	var ws graph.Search
+	var newly []int
+	for i := 0; i < g.M(); i++ {
+		if !done.Has(i) && covered(&ws, g, H, i, k) {
+			done.Add(i)
+			newly = append(newly, i)
+		}
 	}
-	e := d.Edge(i)
-	return d.DistWithin(e.U, e.V, H, k) >= 0
+	return newly
 }
 
 // IsKSpanner reports whether H is a k-spanner of g: every edge of g is
@@ -45,9 +52,10 @@ func IsKSpanner(g *graph.Graph, H *graph.EdgeSet, k int) bool {
 // Violations returns up to max edges of g not covered by H with stretch k.
 // A max <= 0 returns all violations.
 func Violations(g *graph.Graph, H *graph.EdgeSet, k, max int) []int {
+	var ws graph.Search
 	var out []int
 	for i := 0; i < g.M(); i++ {
-		if !Covered(g, H, i, k) {
+		if !covered(&ws, g, H, i, k) {
 			out = append(out, i)
 			if max > 0 && len(out) >= max {
 				return out
@@ -65,9 +73,10 @@ func IsDirectedKSpanner(d *graph.Digraph, H *graph.EdgeSet, k int) bool {
 // DirectedViolations returns up to max directed edges of d not covered by H
 // with stretch k. A max <= 0 returns all violations.
 func DirectedViolations(d *graph.Digraph, H *graph.EdgeSet, k, max int) []int {
+	var ws graph.Search
 	var out []int
 	for i := 0; i < d.M(); i++ {
-		if !CoveredDirected(d, H, i, k) {
+		if e := d.Edge(i); !H.Has(i) && ws.DirectedDist(d, e.U, e.V, H, k) < 0 {
 			out = append(out, i)
 			if max > 0 && len(out) >= max {
 				return out
@@ -82,9 +91,10 @@ func DirectedViolations(d *graph.Digraph, H *graph.EdgeSet, k, max int) []int {
 // "k-spanner of a subgraph" notion (used by client-server and the (1+ε)
 // algorithm's partial covers).
 func IsSpannerOf(g *graph.Graph, target, H *graph.EdgeSet, k int) bool {
+	var ws graph.Search
 	ok := true
 	target.ForEach(func(i int) {
-		if ok && !Covered(g, H, i, k) {
+		if ok && !covered(&ws, g, H, i, k) {
 			ok = false
 		}
 	})
@@ -102,19 +112,10 @@ func ClientServerValid(g *graph.Graph, clients, servers, H *graph.EdgeSet, k int
 	if sub.Len() != 0 {
 		return false // H contains a non-server edge
 	}
+	var ws graph.Search
 	ok := true
 	clients.ForEach(func(i int) {
-		if !ok {
-			return
-		}
-		if !coverableByServers(g, servers, i, k) {
-			return
-		}
-		e := g.Edge(i)
-		if H.Has(i) {
-			return
-		}
-		if g.DistWithin(e.U, e.V, H, k) < 0 {
+		if ok && covered(&ws, g, servers, i, k) && !covered(&ws, g, H, i, k) {
 			ok = false
 		}
 	})
@@ -124,21 +125,14 @@ func ClientServerValid(g *graph.Graph, clients, servers, H *graph.EdgeSet, k int
 // CoverableClients returns the subset of client edges that can be covered
 // by some subset of server edges at stretch k (i.e. by all of them).
 func CoverableClients(g *graph.Graph, clients, servers *graph.EdgeSet, k int) *graph.EdgeSet {
+	var ws graph.Search
 	out := graph.NewEdgeSet(g.M())
 	clients.ForEach(func(i int) {
-		if coverableByServers(g, servers, i, k) {
+		if covered(&ws, g, servers, i, k) {
 			out.Add(i)
 		}
 	})
 	return out
-}
-
-func coverableByServers(g *graph.Graph, servers *graph.EdgeSet, i, k int) bool {
-	if servers.Has(i) {
-		return true
-	}
-	e := g.Edge(i)
-	return g.DistWithin(e.U, e.V, servers, k) >= 0
 }
 
 // Cost returns the cost of the spanner H: total weight for weighted graphs,
@@ -150,25 +144,6 @@ func Cost(g *graph.Graph, H *graph.EdgeSet) float64 {
 // DirectedCost returns the cost of H in the digraph d.
 func DirectedCost(d *graph.Digraph, H *graph.EdgeSet) float64 {
 	return d.TotalWeight(H)
-}
-
-// MaxStretch returns the maximum over edges e = {u,v} of g of the distance
-// between u and v inside H, i.e. the actual stretch of H. It returns -1 if
-// some edge's endpoints are disconnected in H. Distances are capped at
-// cap (pass cap <= 0 for uncapped search).
-func MaxStretch(g *graph.Graph, H *graph.EdgeSet, cap int) int {
-	max := 0
-	for i := 0; i < g.M(); i++ {
-		e := g.Edge(i)
-		d := g.DistWithin(e.U, e.V, H, cap)
-		if d < 0 {
-			return -1
-		}
-		if d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // SpannerOPTLowerBound returns the trivial lower bound on the size of any

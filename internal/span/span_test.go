@@ -44,8 +44,8 @@ func TestIsKSpannerOnClique(t *testing.T) {
 	if IsKSpanner(g, h, 1) {
 		t.Fatal("star is not a 1-spanner of the clique")
 	}
-	if got := MaxStretch(g, h, -1); got != 2 {
-		t.Fatalf("MaxStretch = %d, want 2", got)
+	if got := Stretch(g, h, -1).Max; got != 2 {
+		t.Fatalf("Stretch.Max = %d, want 2", got)
 	}
 }
 
@@ -312,5 +312,32 @@ func TestDirectedStretchStats(t *testing.T) {
 	st := DirectedStretch(d, h, -1)
 	if st.Max != 2 || st.Histogram[2] != 1 || st.Histogram[1] != 2 {
 		t.Fatalf("directed stretch = %+v", st)
+	}
+}
+
+// TestStretchZeroCapIsUnbounded pins the documented cap <= 0 contract:
+// cap 0 must search without a bound, like cap -1, instead of reporting
+// every edge outside H as disconnected.
+func TestStretchZeroCapIsUnbounded(t *testing.T) {
+	// Triangle 0-1-2 whose H drops {0, 2}: that edge has stretch 2.
+	g := gen.Clique(3)
+	e02, _ := g.EdgeIndex(0, 2)
+	h := graph.Full(g.M())
+	h.Remove(e02)
+	for _, c := range []int{0, -1} {
+		if st := Stretch(g, h, c); st.Max != 2 || st.Histogram[2] != 1 {
+			t.Fatalf("Stretch(cap %d) = %+v, want Max 2 with one edge at 2", c, st)
+		}
+	}
+	d := graph.NewDigraph(3)
+	d.AddEdge(0, 1)
+	d.AddEdge(1, 2)
+	shortcut := d.AddEdge(0, 2)
+	hd := graph.Full(d.M())
+	hd.Remove(shortcut)
+	for _, c := range []int{0, -1} {
+		if st := DirectedStretch(d, hd, c); st.Max != 2 || st.Histogram[2] != 1 {
+			t.Fatalf("DirectedStretch(cap %d) = %+v, want Max 2 with one edge at 2", c, st)
+		}
 	}
 }
