@@ -38,10 +38,17 @@ type runner struct {
 	run  func(Config, func(*Ctx) Machine) (*Stats, error)
 }
 
-// runners are the engine and the reference interpreter. The unit tests
-// below hold both to the same hand-derived expectations, so a test
-// failing for one runner only points straight at the one that is wrong.
-var runners = []runner{{"engine", RunMachines}, {"reference", RunReference}}
+// runners are the engine, its sharded runner over three in-process
+// workers, and the reference interpreter. The unit tests below hold all
+// of them to the same hand-derived expectations, so a test failing for
+// one runner only points straight at the one that is wrong.
+var runners = []runner{{"engine", RunMachines}, {"sharded3", runSharded3}, {"reference", RunReference}}
+
+// runSharded3 is RunMachines with cfg.Shards = 3.
+func runSharded3(cfg Config, factory func(*Ctx) Machine) (*Stats, error) {
+	cfg.Shards = 3
+	return RunMachines(cfg, factory)
+}
 
 // forRunners runs body once per runner as a named subtest.
 func forRunners(t *testing.T, body func(t *testing.T, run func(Config, func(*Ctx) Machine) (*Stats, error))) {

@@ -156,14 +156,6 @@ func TestShardedErrorEquality(t *testing.T) {
 		t.Fatalf("sharded bandwidth error lost its type: %v", shErr)
 	}
 
-	// Unenforced violations only count, identically.
-	refStats, err1 := RunMachines(Config{Graph: g, Seed: 1, Bandwidth: 32, MaxRounds: 3}, busy)
-	shStats, err2 := RunMachines(Config{Graph: g, Seed: 1, Bandwidth: 32, MaxRounds: 3, Shards: 2}, busy)
-	if err1 == nil || err2 == nil || err1.Error() != err2.Error() {
-		t.Fatalf("round-limited runs differ: %v vs %v", err1, err2)
-	}
-	_, _ = refStats, shStats
-
 	// Cancellation: pre-closed cancel aborts before round 1.
 	pre := make(chan struct{})
 	close(pre)
