@@ -8,16 +8,14 @@ import (
 	"distspanner/internal/graph"
 )
 
-// The coordinator half of the sharded runner. Coordinate owns exactly
-// the global decisions of runStep — finish when every vertex retired,
-// quiesce when nobody yielded and no pending delivery can wake anyone,
-// abort on the round limit / cancellation / an enforced bandwidth
-// violation — and the global accounting (Stats, RoundActivity, the
-// OnRound hook, Phase snapshots). Everything per-vertex stays on the
-// workers. The decisions are taken in runStep's exact order with
-// runStep's exact error formats, which is what makes a distributed run
-// indistinguishable from an in-process RunMachines run: same Stats, same
-// per-vertex trace digests, same errors.
+// The coordinator half of the sharded runner: Coordinate runs the
+// engine's global half (round.go) over the workers' reports. Each
+// iteration it gathers every shard's round report, relays the
+// cross-shard batches, gathers the wake scans, and hands the sums to the
+// same decide/charge/record calls the in-process run makes — so a
+// distributed run is indistinguishable from an in-process RunMachines
+// run: same Stats, same per-vertex trace digests, same errors. Everything
+// per-vertex stays on the workers (shard.go).
 
 // ShardError is a worker-side failure (machine panic,
 // program resolution) surfaced through the protocol; the coordinator
@@ -72,20 +70,15 @@ func Coordinate(ct CoordTransport, cfg CoordConfig) (*CoordResult, error) {
 		return nil, errors.New("dist: CoordConfig.Graph is nil")
 	}
 	n := cfg.Graph.N()
-	if cfg.CutSide != nil && len(cfg.CutSide) != n {
-		return nil, fmt.Errorf("dist: CutSide has %d entries for %d vertices", len(cfg.CutSide), n)
+	if err := checkCut(cfg.CutSide, n); err != nil {
+		return nil, err
 	}
 	w := ct.Workers()
 	if w < 1 {
 		return nil, errors.New("dist: Coordinate needs at least one worker")
 	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = DefaultMaxRounds
-	}
 	cuts := PartitionEven(n, w)
 	trace := cfg.Tracer != nil
-	meterDlv := cfg.OnRound != nil || trace
 	for i := 0; i < w; i++ {
 		su := &SetupFrame{
 			Shard: i, Workers: w, Cuts: cuts, Graph: cfg.Graph,
@@ -97,35 +90,34 @@ func Coordinate(ct CoordTransport, cfg CoordConfig) (*CoordResult, error) {
 		}
 	}
 
+	g := newGlobal(Config{
+		Graph: cfg.Graph, Bandwidth: cfg.Bandwidth, Enforce: cfg.Enforce,
+		MaxRounds: cfg.MaxRounds, OnRound: cfg.OnRound, Cancel: cfg.Cancel, Tracer: cfg.Tracer,
+	})
 	var (
-		stats   Stats
-		rounds  int
 		runErr  error
 		reports = make([]*RoundFrame, w)
 		wakes   = make([]*WakeFrame, w)
 	)
-	canceled := func() bool {
-		if cfg.Cancel == nil {
-			return false
-		}
-		select {
-		case <-cfg.Cancel:
-			return true
-		default:
-			return false
-		}
-	}
-	// abortAll best-effort ships the abort decision to every worker so
-	// they stop waiting for batches/decisions and send their final frame.
-	abortAll := func() {
-		d := &DecisionFrame{Kind: DecideAbort, Round: rounds}
+	// fail records the run's error and best-effort ships the abort
+	// decision to every worker, so they stop waiting for batches or
+	// decisions and send their final frame.
+	fail := func(err error) {
+		runErr = err
+		d := &DecisionFrame{Kind: DecideAbort, Round: g.stats.Rounds}
 		for i := 0; i < w; i++ {
 			ct.Send(i, &Frame{Type: FrameDecision, Decision: d})
 		}
 	}
-	fail := func(err error) {
-		runErr = err
-		abortAll()
+	// send ships one decision, stamped with its round, to every worker.
+	send := func(kind DecisionKind, round int) error {
+		d := &DecisionFrame{Kind: kind, Round: round}
+		for i := 0; i < w; i++ {
+			if err := ct.Send(i, &Frame{Type: FrameDecision, Decision: d}); err != nil {
+				return fmt.Errorf("%w: decision to worker %d: %v", ErrTransport, i, err)
+			}
+		}
+		return nil
 	}
 
 protocol:
@@ -134,13 +126,11 @@ protocol:
 		for i := 0; i < w; i++ {
 			f, err := ct.Receive(i)
 			if err != nil {
-				runErr = fmt.Errorf("%w: round report from worker %d: %v", ErrTransport, i, err)
-				abortAll()
+				fail(fmt.Errorf("%w: round report from worker %d: %v", ErrTransport, i, err))
 				break protocol
 			}
 			if f.Type != FrameRound || f.Round == nil {
-				runErr = fmt.Errorf("%w: expected round frame from worker %d, got type %d", ErrTransport, i, f.Type)
-				abortAll()
+				fail(fmt.Errorf("%w: expected round frame from worker %d, got type %d", ErrTransport, i, f.Type))
 				break protocol
 			}
 			reports[i] = f.Round
@@ -179,130 +169,43 @@ protocol:
 			wakes[i] = f.Wake
 		}
 
-		// Decision, in runStep's order.
-		var (
-			sumStepped, sumYielded, sumParked, sumDone, sumSenders int
-			sumWoken, sumDeliv                                     int
-			sumDelivBits                                           int64
-			anyWake                                                bool
-			meter                                                  MeterReport
-		)
-		meter.ViolSender = -1
-		for i := 0; i < w; i++ {
-			r, wk := reports[i], wakes[i]
-			sumStepped += r.Stepped
-			sumYielded += r.Yielded
-			sumParked += r.ParkedNow
-			sumDone += r.DoneTotal
-			sumSenders += r.Senders
-			meter.Msgs += r.Meter.Msgs
-			meter.Bits += r.Meter.Bits
-			meter.CutBits += r.Meter.CutBits
-			if r.Meter.MaxMsg > meter.MaxMsg {
-				meter.MaxMsg = r.Meter.MaxMsg
-			}
-			if r.Meter.MaxEdge > meter.MaxEdge {
-				meter.MaxEdge = r.Meter.MaxEdge
-			}
-			meter.Violations += r.Meter.Violations
-			if r.Meter.ViolSender >= 0 && meter.ViolSender < 0 {
-				// Shards are ascending vertex ranges gathered in index order,
-				// so the first shard's first violator is the global first.
-				meter.ViolSender, meter.ViolTo, meter.ViolBits = r.Meter.ViolSender, r.Meter.ViolTo, r.Meter.ViolBits
-			}
+		// Sum the shards' reports — ascending vertex ranges in index
+		// order, so the merged metering keeps the global first violator —
+		// and decide.
+		var act RoundActivity
+		var yielded, done int
+		anyWake := false
+		meter := MeterReport{ViolSender: -1}
+		for i, r := range reports {
+			wk := wakes[i]
+			act.Active += r.Stepped
+			act.Parked += r.ParkedNow - wk.Woken
+			act.Senders += r.Senders
+			act.Delivered += wk.Delivered
+			act.DeliveredBits += wk.DeliveredBits
+			yielded += r.Yielded
+			done += r.DoneTotal
 			anyWake = anyWake || wk.WouldWake
-			sumWoken += wk.Woken
-			sumDeliv += wk.Delivered
-			sumDelivBits += wk.DeliveredBits
+			meter.add(&r.Meter)
 		}
-		foldMeter := func() {
-			stats.Messages += meter.Msgs
-			stats.TotalBits += meter.Bits
-			stats.CutBits += meter.CutBits
-			if meter.MaxMsg > stats.MaxMessageBits {
-				stats.MaxMessageBits = meter.MaxMsg
-			}
-			if meter.MaxEdge > stats.MaxEdgeRoundBits {
-				stats.MaxEdgeRoundBits = meter.MaxEdge
-			}
-			stats.BandwidthViolations += meter.Violations
+		kind, round, err := g.decide(done, yielded, func() bool { return anyWake })
+		if err == nil {
+			err = g.charge(&meter, round)
 		}
-		bwErr := func(round int) error {
-			return fmt.Errorf("%w: vertex %d sent %d bits to %d in round %d (budget %d)",
-				ErrBandwidth, meter.ViolSender, meter.ViolBits, meter.ViolTo, round, cfg.Bandwidth)
-		}
-		decide := func(kind DecisionKind, round int) error {
-			d := &DecisionFrame{Kind: kind, Round: round}
-			for i := 0; i < w; i++ {
-				if err := ct.Send(i, &Frame{Type: FrameDecision, Decision: d}); err != nil {
-					return fmt.Errorf("%w: decision to worker %d: %v", ErrTransport, i, err)
-				}
-			}
-			return nil
-		}
-
-		if sumDone == n {
-			// Everyone retired: meter-and-drop last words without charging a
-			// round — but an enforced violation in them still aborts, like
-			// route would.
-			if cfg.Enforce && meter.ViolSender >= 0 {
-				fail(bwErr(rounds))
-				break protocol
-			}
-			foldMeter()
-			stats.Rounds = rounds
-			if err := decide(DecideFinish, rounds); err != nil {
-				fail(err)
-			}
-			break protocol
-		}
-		if sumYielded == 0 && !anyWake {
-			// Nobody asked for another round and no pending delivery can wake
-			// anyone: meter-and-drop, then quiesce the parked population.
-			if cfg.Enforce && meter.ViolSender >= 0 {
-				fail(bwErr(rounds))
-				break protocol
-			}
-			foldMeter()
-			stats.Rounds = rounds
-			if err := decide(DecideQuiesce, rounds); err != nil {
-				fail(err)
-			}
-			break protocol
-		}
-		r := rounds + 1
-		if r > maxRounds {
-			fail(fmt.Errorf("%w: %d rounds executed (MaxRounds %d)", ErrRoundLimit, r, maxRounds))
-			break protocol
-		}
-		if canceled() {
-			fail(fmt.Errorf("%w after %d rounds", ErrCanceled, r))
-			break protocol
-		}
-		if cfg.Enforce && meter.ViolSender >= 0 {
-			fail(bwErr(r))
-			break protocol
-		}
-		rounds = r
-		foldMeter()
-		act := RoundActivity{Round: r, Active: sumStepped, Parked: sumParked - sumWoken, Senders: sumSenders}
-		if meterDlv {
-			act.Delivered, act.DeliveredBits = sumDeliv, sumDelivBits
-		}
-		stats.ActiveSteps += int64(act.Active)
-		stats.ParkedSteps += int64(act.Parked)
-		if act.Active > stats.PeakActive {
-			stats.PeakActive = act.Active
-		}
-		if trace {
-			cfg.Tracer.Phase(act)
-		}
-		if cfg.OnRound != nil {
-			cfg.OnRound(act)
-		}
-		if err := decide(DecideCommit, r); err != nil {
+		if err != nil {
 			fail(err)
-			break protocol
+			break
+		}
+		if kind == DecideCommit {
+			act.Round = round
+			g.record(act)
+		}
+		if err := send(kind, round); err != nil {
+			fail(err)
+			break
+		}
+		if kind != DecideCommit {
+			break
 		}
 	}
 
@@ -355,7 +258,7 @@ protocol:
 			}
 		}
 	}
-	return &CoordResult{Stats: stats, Outputs: outputs}, nil
+	return &CoordResult{Stats: g.stats, Outputs: outputs}, nil
 }
 
 // runSharded is RunMachines' Config.Shards path: the same machines, run

@@ -42,15 +42,23 @@
 //
 // # One engine, one reference
 //
-// RunMachines is the only engine (step.go): a round is one scan over
-// the active set on the caller's goroutine, with machine steps and
-// per-sender metering sharded across GOMAXPROCS workers when the round
-// is large. Quiet (parked) vertices cost nothing, so a round costs
+// The engine has two halves. The per-shard half (step.go) does what a
+// round does to the vertices of one contiguous range: step the active
+// machines, classify each step, meter and deliver the sends, build the
+// next active set, and run the quiesce epilogue. The global half
+// (round.go) holds Stats and takes the round decision — finish,
+// quiesce, abort, or charge the round — from the shards' counts. A round
+// is one scan over the active set, with machine steps and per-sender
+// metering sharded across GOMAXPROCS goroutines when the round is
+// large. Quiet (parked) vertices cost nothing, so a round costs
 // O(#active + #senders), and there is no per-vertex goroutine or stack,
 // which is what lets runs scale to millions of vertices on one box.
-// Config.Shards runs the same loop partitioned across workers that
-// speak a round protocol over a transport (transport.go, coord.go,
-// shard.go).
+//
+// RunMachines runs both halves on the caller's goroutine, with one shard
+// over every vertex. Config.Shards, Coordinate and ServeShard run the
+// same halves apart: one shard per worker, and the global half on a
+// coordinator that learns each round's counts over a transport
+// (transport.go, coord.go, shard.go).
 //
 // RunReference (ref.go) is a deliberately naive sequential interpreter
 // of the same semantics, called only by tests. The engine is correct
@@ -70,10 +78,7 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
-	"sort"
-	"sync"
 	"time"
 
 	"distspanner/internal/graph"
@@ -147,89 +152,20 @@ var ErrBandwidth = errors.New("dist: bandwidth exceeded")
 // ErrCanceled is wrapped by a run's error when Config.Cancel fires.
 var ErrCanceled = errors.New("dist: run canceled")
 
-// engine is the shared state of one run. Only the scheduler goroutine
-// touches it; sharded steps and metering write per-vertex state only.
-type engine struct {
-	g         *graph.Graph
-	n         int
-	bandwidth int
-	enforce   bool
-	maxRounds int
-	cut       []bool
-	cancel    <-chan struct{} // nil: never canceled
-	routePar  int             // goroutines for sharded metering
-	stepPar   int             // goroutines for sharded machine stepping
-	tracer    Tracer          // nil: tracing disabled (zero cost)
-	timed     bool            // tracer != nil: take round timestamps
-	meterDlv  bool            // compute per-round delivery counts (OnRound or Tracer set)
-
-	parked  int // vertices parked awaiting delivery
-	stepped int // vertices stepped since the last completed round
-	senders int // senders routed in the current round (set by route)
-	onRound func(RoundActivity)
-	abort   error
-	dirty   []*Ctx // vertices that stepped this round with sends queued
-	woken   []*Ctx // parked vertices receiving records this round
-
-	// Timing-channel scratch (tracer installed only): the previous round
-	// boundary and the current round's accumulated routing/stepping time.
-	lastTick time.Time
-	routeNs  int64
-	stepNs   int64
-	// Delivery counters of the current round (meterDlv only), folded into
-	// RoundActivity by recordRound.
-	deliv     int
-	delivBits int64
-
-	ctxs  []*Ctx
-	stats Stats
-}
-
 // checkConfig validates the parts of cfg every runner depends on.
 func checkConfig(cfg Config) error {
 	if cfg.Graph == nil {
 		return errors.New("dist: Config.Graph is nil")
 	}
-	if n := cfg.Graph.N(); cfg.CutSide != nil && len(cfg.CutSide) != n {
-		return fmt.Errorf("dist: CutSide has %d entries for %d vertices", len(cfg.CutSide), n)
-	}
-	return nil
+	return checkCut(cfg.CutSide, cfg.Graph.N())
 }
 
-// newEngine validates cfg and builds the shared engine state. A nil
-// engine with a nil error means the run is trivially empty (n == 0).
-func newEngine(cfg Config) (*engine, error) {
-	if err := checkConfig(cfg); err != nil {
-		return nil, err
+// checkCut validates a two-party cut against the vertex count.
+func checkCut(cut []bool, n int) error {
+	if cut != nil && len(cut) != n {
+		return fmt.Errorf("dist: CutSide has %d entries for %d vertices", len(cut), n)
 	}
-	n := cfg.Graph.N()
-	if n == 0 {
-		return nil, nil
-	}
-	procs := runtime.GOMAXPROCS(0)
-	e := &engine{
-		g:         cfg.Graph,
-		n:         n,
-		bandwidth: cfg.Bandwidth,
-		enforce:   cfg.Enforce,
-		maxRounds: cfg.MaxRounds,
-		cut:       cfg.CutSide,
-		cancel:    cfg.Cancel,
-		routePar:  procs,
-		stepPar:   procs,
-		onRound:   cfg.OnRound,
-		tracer:    cfg.Tracer,
-		timed:     cfg.Tracer != nil,
-		meterDlv:  cfg.OnRound != nil || cfg.Tracer != nil,
-	}
-	if e.maxRounds <= 0 {
-		e.maxRounds = DefaultMaxRounds
-	}
-	e.ctxs = make([]*Ctx, n)
-	for v := 0; v < n; v++ {
-		e.ctxs[v] = newCtx(cfg.Graph, v, cfg.Seed)
-	}
-	return e, nil
+	return nil
 }
 
 // RunMachines executes one Machine per vertex of cfg.Graph as a
@@ -243,27 +179,89 @@ func RunMachines(cfg Config, factory func(*Ctx) Machine) (*Stats, error) {
 	if cfg.Shards > 0 {
 		return runSharded(cfg, factory)
 	}
-	e, err := newEngine(cfg)
-	if err != nil {
+	if err := checkConfig(cfg); err != nil {
 		return nil, err
 	}
-	if e == nil {
+	n := cfg.Graph.N()
+	if n == 0 {
 		return &Stats{}, nil
 	}
-	machines := make([]Machine, e.n)
-	for v := 0; v < e.n; v++ {
-		machines[v] = factory(e.ctxs[v])
+	g := newGlobal(cfg)
+	s := newShard(cfg.Graph, cfg.Seed, 0, n, factory, cfg.Bandwidth, cfg.CutSide, cfg.Tracer)
+	if cfg.Tracer != nil {
+		// Only the in-process run has a timing channel. Machine
+		// construction is setup, not round 1.
+		g.timed, g.lastTick = true, time.Now()
 	}
-	if e.timed {
-		// Machine construction is setup, not round 1.
-		e.lastTick = time.Now()
+	if err := runStep(g, s); err != nil {
+		return nil, err
 	}
-	e.runStep(machines)
-	if e.abort != nil {
-		return nil, e.abort
+	st := g.stats
+	return &st, nil
+}
+
+// runStep drives the in-process run — one shard over every vertex — to
+// completion: each round the shard steps its active machines and
+// classifies them, the global half decides, and route commits the
+// round's sends.
+func runStep(g *global, s *shard) error {
+	for {
+		g.timeInto(&g.stepNs, s.step)
+		if s.abort != nil {
+			return s.abort
+		}
+		stepped := len(s.active)
+		s.classify()
+		kind, round, err := g.decide(s.done, len(s.yielded), s.flushWakes)
+		if err != nil {
+			return err
+		}
+		senders := len(s.dirty)
+		if err := route(g, s, round); err != nil {
+			return err
+		}
+		switch kind {
+		case DecideFinish:
+			return nil
+		case DecideQuiesce:
+			s.quiesce()
+			return s.abort
+		}
+		g.record(RoundActivity{
+			Round: round, Active: stepped, Parked: s.parked, Senders: senders,
+			Delivered: s.deliv, DeliveredBits: s.delivBits,
+		})
+		s.advance()
 	}
-	s := e.stats
-	return &s, nil
+}
+
+// route meters the round's sends, delivers them stamped with round, and
+// charges the metering — the routing share of the timing channel. On a
+// finish or quiesce every pending receiver has retired, so delivering
+// drops them.
+func route(g *global, s *shard, round int) error {
+	var m MeterReport
+	g.timeInto(&g.routeNs, func() {
+		m = s.meter()
+		s.round = round
+		s.flush()
+	})
+	return g.charge(&m, round)
+}
+
+// flushWakes reports whether any queued send targets a vertex that is still
+// alive — whether committing the sends would be observable as a round (a
+// parked receiver would wake). Only a shard over every vertex can tell;
+// a sharded worker reports its part in a WakeFrame.
+func (s *shard) flushWakes() bool {
+	for _, c := range s.dirty {
+		for ri := range c.outRecs {
+			if !s.ctxs[c.outRecs[ri].to].done {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // vertexPanicError converts a recovered machine panic into the run error.
@@ -301,206 +299,4 @@ func canceled(cancel <-chan struct{}) bool {
 	default:
 		return false
 	}
-}
-
-// recordRound folds the completed round's activity into Stats and fires
-// the OnRound hook and the tracer's Phase/RoundTime calls: Active counts
-// the vertices stepped since the previous completion, Parked the
-// vertices still parked after this round's deliveries,
-// Delivered/DeliveredBits the records routing just placed in live
-// inboxes (computed only when OnRound or Tracer is set).
-func (e *engine) recordRound() {
-	act := RoundActivity{
-		Round: e.stats.Rounds, Active: e.stepped, Parked: e.parked, Senders: e.senders,
-		Delivered: e.deliv, DeliveredBits: e.delivBits,
-	}
-	e.stats.ActiveSteps += int64(act.Active)
-	e.stats.ParkedSteps += int64(act.Parked)
-	if act.Active > e.stats.PeakActive {
-		e.stats.PeakActive = act.Active
-	}
-	e.stepped = 0
-	e.senders = 0
-	e.deliv, e.delivBits = 0, 0
-	if e.tracer != nil {
-		e.tracer.Phase(act)
-		e.traceRoundTime(act.Round)
-	}
-	if e.onRound != nil {
-		e.onRound(act)
-	}
-	if e.timed {
-		// Hook and tracer time belongs to neither round: re-arm the
-		// boundary timestamp after the callbacks return.
-		e.lastTick = time.Now()
-	}
-}
-
-// meterResult is the per-sender accounting of one round, computed
-// independently per sender so the work can be sharded.
-type meterResult struct {
-	msgs, bits, cut int64
-	maxMsg, maxEdge int
-	viol            int64
-	violTo          int // receiver of this sender's first violation, -1 if none
-	violBits        int
-}
-
-// routeTimed aggregates statistics and delivers all outboxes, timing
-// the pass for the tracer's timing channel when one is installed. The
-// logical work lives in route.
-func (e *engine) routeTimed() {
-	if !e.timed {
-		e.route()
-		return
-	}
-	t0 := time.Now()
-	e.route()
-	e.routeNs += int64(time.Since(t0))
-}
-
-// route aggregates statistics and delivers all outboxes. The dirty list
-// holds exactly the vertices that queued sends this round; it is sorted
-// by vertex id so inboxes arrive sorted by sender and every statistic is
-// deterministic regardless of how steps were sharded. Senders are
-// metered independently (in parallel for large rounds). Parked receivers
-// of a delivery are flipped awake and collected in e.woken. With a
-// tracer installed, the serial delivery loop is also where
-// Send/Deliver/Wake events are emitted — senders in ascending id, a
-// sender's records in send order — which is what makes the logical
-// transcript deterministic.
-func (e *engine) route() {
-	senders := e.dirty
-	e.dirty = e.dirty[:0]
-	e.senders = len(senders)
-	if len(senders) == 0 {
-		return
-	}
-	sort.Slice(senders, func(i, j int) bool { return senders[i].id < senders[j].id })
-	results := make([]meterResult, len(senders))
-	if e.routePar > 1 && len(senders) >= 64 {
-		var wg sync.WaitGroup
-		shard := (len(senders) + e.routePar - 1) / e.routePar
-		for lo := 0; lo < len(senders); lo += shard {
-			hi := lo + shard
-			if hi > len(senders) {
-				hi = len(senders)
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					results[i] = e.meterSender(senders[i])
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-	} else {
-		for i, c := range senders {
-			results[i] = e.meterSender(c)
-		}
-	}
-	for i, c := range senders {
-		r := &results[i]
-		e.stats.Messages += r.msgs
-		e.stats.TotalBits += r.bits
-		e.stats.CutBits += r.cut
-		if r.maxMsg > e.stats.MaxMessageBits {
-			e.stats.MaxMessageBits = r.maxMsg
-		}
-		if r.maxEdge > e.stats.MaxEdgeRoundBits {
-			e.stats.MaxEdgeRoundBits = r.maxEdge
-		}
-		if r.viol > 0 {
-			e.stats.BandwidthViolations += r.viol
-			if e.enforce && e.abort == nil {
-				e.abort = bandwidthError(c.id, r.violBits, r.violTo, e.stats.Rounds, e.bandwidth)
-			}
-		}
-		// Deliveries: copy the header and the packed int tail into the
-		// receiver's arena. Senders are visited in ascending id and a
-		// sender's records in send order, so the arena arrives sorted.
-		for ri := range c.outRecs {
-			o := &c.outRecs[ri]
-			to := e.ctxs[o.to]
-			if e.tracer != nil {
-				e.tracer.Event(TraceEvent{Kind: TraceSend, Round: e.stats.Rounds, V: c.id, Peer: int(o.to), Tag: o.tag, Bits: int(o.bits)})
-			}
-			if to.done {
-				continue
-			}
-			if e.meterDlv {
-				e.deliv++
-				e.delivBits += int64(o.bits)
-				if e.tracer != nil {
-					e.tracer.Event(TraceEvent{Kind: TraceDeliver, Round: e.stats.Rounds, V: int(o.to), Peer: c.id, Tag: o.tag, Bits: int(o.bits)})
-				}
-			}
-			off := int32(len(to.inInts))
-			if o.n > 0 {
-				to.inInts = append(to.inInts, c.outInts[o.off:o.off+o.n]...)
-			}
-			to.inRecs = append(to.inRecs, InRec{
-				From: c.id,
-				Rec:  Rec{Tag: o.tag, Flag: o.flag, A: o.a, B: o.b, F0: o.f0, F1: o.f1, F2: o.f2},
-				off:  off, n: o.n,
-			})
-			if to.parked {
-				to.parked = false
-				e.woken = append(e.woken, to)
-				if e.tracer != nil {
-					e.tracer.Event(TraceEvent{Kind: TraceWake, Round: e.stats.Rounds, V: int(o.to), Peer: c.id})
-				}
-			}
-		}
-		c.clearSends()
-	}
-}
-
-// meterSender sizes one sender's round of messages: global aggregates plus
-// the per-directed-edge accumulation behind MaxEdgeRoundBits and the
-// bandwidth check. It touches only the sender's own state. Only the edge
-// slots actually written this round are revisited (and re-zeroed), so the
-// cost is O(#messages) rather than O(degree) — a vertex of degree Δ that
-// pings one neighbor no longer pays a Δ-wide scan.
-func (e *engine) meterSender(c *Ctx) meterResult {
-	r := meterResult{violTo: -1}
-	// Records carry their size from SendRec and their neighbor slot from
-	// validation time: no interface call, no binary search.
-	for ri := range c.outRecs {
-		o := &c.outRecs[ri]
-		b := int(o.bits)
-		if b < 0 {
-			b = 0
-		}
-		r.msgs++
-		r.bits += int64(b)
-		if b > r.maxMsg {
-			r.maxMsg = b
-		}
-		if e.cut != nil && e.cut[c.id] != e.cut[o.to] {
-			r.cut += int64(b)
-		}
-		i := int(o.nbrIdx)
-		if b > 0 && c.edgeBits[i] == 0 {
-			c.touched = append(c.touched, i)
-		}
-		c.edgeBits[i] += b
-	}
-	for _, i := range c.touched {
-		eb := c.edgeBits[i]
-		c.edgeBits[i] = 0
-		if eb > r.maxEdge {
-			r.maxEdge = eb
-		}
-		if e.bandwidth > 0 && eb > e.bandwidth {
-			r.viol++
-			if r.violTo < 0 {
-				r.violTo = c.nbrs[i]
-				r.violBits = eb
-			}
-		}
-	}
-	c.touched = c.touched[:0]
-	return r
 }

@@ -1,32 +1,26 @@
 package dist
 
-import (
-	"fmt"
-	"runtime"
-	"sort"
-)
+import "fmt"
 
-// The worker half of the sharded runner: ServeShard owns a contiguous
-// vertex range and drives it with the engine's step machinery
-// (stepMachines, stepEpilogue, meterSender — the same code paths as
-// runStep), while the round/quiescence decisions move to the
-// coordinator (coord.go). The loop is runStep with its global checks
-// replaced by protocol frames:
+// The worker half of the sharded runner: ServeShard owns one contiguous
+// vertex range of a contiguous partition and runs it as one shard of the
+// engine (step.go), exactly as the in-process run does, except that the
+// global half (round.go) lives on the coordinator (coord.go). Each
+// iteration the worker asks for the round's outcome over frames:
 //
-//	step actives            → classify, pre-meter, ship batches (FrameRound)
-//	receive inbound batches (FrameBatches)
-//	dry-scan deliveries     → would anything wake? (FrameWake)
-//	receive the decision    (FrameDecision)
-//	  Commit r  → apply deliveries (trace-faithful), step again
-//	  Quiesce   → meter-and-drop last words, run the parked epilogue
-//	  Finish    → meter-and-drop last words
+//	step, classify, meter     → report counts, metering, outbound batches (FrameRound)
+//	receive inbound batches   (FrameBatches)
+//	scan pending deliveries   → would any reach a live vertex? (FrameWake)
+//	receive the decision      (FrameDecision)
+//	  Commit r  → deliver in global sender order, advance
+//	  Quiesce   → commit the last words, run the parked epilogue
+//	  Finish    → commit the last words
 //	  Abort     → discard everything
 //
-// Delivery order: the apply pass walks source shards in index order and,
-// within its own shard's position, its own dirty senders in ascending id
-// — with a contiguous partition that is exactly route's global
-// ascending-sender order, so per-vertex trace transcripts (and arena
-// inbox order) come out identical to the in-process engine.
+// Delivery order: source shards in index order, with the worker's own
+// senders (ascending id) at its own position — with a contiguous
+// partition that is the in-process run's global ascending-sender order,
+// so per-vertex trace transcripts and inbox order come out identical.
 
 // shardRecorder buffers the worker's per-vertex trace events for the
 // ResultFrame. Phase snapshots are emitted by the coordinator (it owns
@@ -47,22 +41,10 @@ func (r *shardRecorder) RoundTime(RoundTiming) {}
 // shardWorker is the state of one ServeShard call.
 type shardWorker struct {
 	wt      WorkerTransport
-	e       *engine
-	shard   int
+	s       *shard
+	index   int // this worker's shard index
 	workers int
 	cuts    []int
-	lo, hi  int
-
-	machines []Machine
-	status   []StepStatus
-	ins      []StepIn
-	active   []*Ctx
-	yielded  []*Ctx
-	dirty    []*Ctx
-	woken    []*Ctx
-
-	parkedCnt int
-	doneCnt   int
 
 	// wakeStamp/iterNo implement the dry wake scan's distinct-target
 	// counting without mutating vertex state.
@@ -91,16 +73,16 @@ func ServeShard(wt WorkerTransport, resolve ProgramResolver) error {
 	su := f.Setup
 	w, err := newShardWorker(wt, su, resolve)
 	if err != nil {
-		return failSetup(wt, err)
+		return failWorker(wt, err)
 	}
 	return w.run()
 }
 
-// failSetup reports a setup-time failure through the protocol: the
-// coordinator is waiting for the first RoundFrame, so the error rides
-// one, and the worker drains to the abort decision like any other
-// failing shard.
-func failSetup(wt WorkerTransport, cause error) error {
+// failWorker reports a worker-side failure — at setup, or a machine
+// panic — through the protocol: the coordinator is waiting for a
+// RoundFrame, so the error rides one; the worker then drains to the
+// abort decision and ships a final ResultFrame carrying the same error.
+func failWorker(wt WorkerTransport, cause error) error {
 	rf := &RoundFrame{Err: cause.Error(), Meter: MeterReport{ViolSender: -1}}
 	if err := wt.Send(&Frame{Type: FrameRound, Round: rf}); err != nil {
 		return cause
@@ -140,8 +122,8 @@ func newShardWorker(wt WorkerTransport, su *SetupFrame, resolve ProgramResolver)
 			return nil, fmt.Errorf("%w: partition not ascending at shard %d", ErrTransport, i)
 		}
 	}
-	if su.Cut != nil && len(su.Cut) != n {
-		return nil, fmt.Errorf("dist: CutSide has %d entries for %d vertices", len(su.Cut), n)
+	if err := checkCut(su.Cut, n); err != nil {
+		return nil, err
 	}
 	prog, err := resolve(su.Algo, su.Graph, su.Seed)
 	if err != nil {
@@ -164,45 +146,25 @@ func newShardWorker(wt WorkerTransport, su *SetupFrame, resolve ProgramResolver)
 		rec = &shardRecorder{lo: lo, events: make([][]TraceEvent, hi-lo)}
 		tr = rec
 	}
-	e := &engine{
-		g: g, n: n,
-		bandwidth: su.Bandwidth,
-		cut:       su.Cut,
-		routePar:  1,
-		stepPar:   runtime.GOMAXPROCS(0),
-		tracer:    tr,
-	}
-	e.ctxs = make([]*Ctx, n)
-	w := &shardWorker{
-		wt: wt, e: e, shard: su.Shard, workers: su.Workers, cuts: su.Cuts,
-		lo: lo, hi: hi,
-		machines:  make([]Machine, n),
-		status:    make([]StepStatus, n),
-		ins:       make([]StepIn, n),
-		active:    make([]*Ctx, 0, hi-lo),
+	return &shardWorker{
+		wt: wt, index: su.Shard, workers: su.Workers, cuts: su.Cuts,
+		s:         newShard(g, su.Seed, lo, hi, prog.Factory, su.Bandwidth, su.Cut, tr),
 		wakeStamp: make([]int, hi-lo),
 		rec:       rec,
 		collect:   su.Collect,
 		output:    prog.Output,
-	}
-	for v := lo; v < hi; v++ {
-		c := newCtx(g, v, su.Seed)
-		e.ctxs[v] = c
-		w.machines[v] = prog.Factory(c)
-		w.ins[v] = StepIn{Start: true}
-		w.active = append(w.active, c)
-	}
-	return w, nil
+	}, nil
 }
 
 // run is the worker's protocol loop.
 func (w *shardWorker) run() error {
+	s := w.s
 	for {
-		w.e.stepMachines(w.machines, w.status, w.ins, w.active)
-		if w.e.abort != nil {
-			return w.failRound(w.e.abort)
+		s.step()
+		if s.abort != nil {
+			return failWorker(w.wt, s.abort)
 		}
-		if err := w.wt.Send(&Frame{Type: FrameRound, Round: w.classify()}); err != nil {
+		if err := w.wt.Send(&Frame{Type: FrameRound, Round: w.report()}); err != nil {
 			return err
 		}
 		f, err := w.wt.Receive()
@@ -214,13 +176,13 @@ func (w *shardWorker) run() error {
 		case f.Type == FrameBatches && f.Batches != nil:
 			in = f.Batches.In
 		case f.Type == FrameDecision && f.Decision != nil && f.Decision.Kind == DecideAbort:
-			w.discard()
+			s.discard()
 			return w.sendAbortResult()
 		default:
 			return fmt.Errorf("%w: expected batches frame, got type %d", ErrTransport, f.Type)
 		}
-		if len(in) != w.workers {
-			return fmt.Errorf("%w: batches frame with %d shards, want %d", ErrTransport, len(in), w.workers)
+		if err := w.checkBatches(in); err != nil {
+			return err
 		}
 		if err := w.wt.Send(&Frame{Type: FrameWake, Wake: w.wakeScan(in)}); err != nil {
 			return err
@@ -234,29 +196,18 @@ func (w *shardWorker) run() error {
 		}
 		switch d := f.Decision; d.Kind {
 		case DecideCommit:
-			w.commit(in, d.Round)
+			s.round = d.Round
+			w.apply(in)
+			s.advance()
 		case DecideQuiesce:
-			w.applyDrop()
-			var epErr error
-			for v := w.lo; v < w.hi; v++ {
-				c := w.e.ctxs[v]
-				if !c.parked {
-					continue
-				}
-				c.parked = false
-				w.e.stepEpilogue(w.machines[v], c)
-				if w.e.abort != nil {
-					epErr = w.e.abort
-					break
-				}
-			}
-			w.parkedCnt = 0
-			return w.sendResult(epErr)
+			s.flush()
+			s.quiesce()
+			return w.sendResult(s.abort)
 		case DecideFinish:
-			w.applyDrop()
+			s.flush()
 			return w.sendResult(nil)
 		case DecideAbort:
-			w.discard()
+			s.discard()
 			return w.sendAbortResult()
 		default:
 			return fmt.Errorf("%w: unknown decision kind %d", ErrTransport, d.Kind)
@@ -264,80 +215,48 @@ func (w *shardWorker) run() error {
 	}
 }
 
-// failRound reports a local failure (a machine panic) on the
-// current iteration's RoundFrame, drains to the abort decision, and
-// ships the final ResultFrame carrying the same error.
-func (w *shardWorker) failRound(cause error) error {
-	rf := &RoundFrame{Err: cause.Error(), Meter: MeterReport{ViolSender: -1}}
-	if err := w.wt.Send(&Frame{Type: FrameRound, Round: rf}); err != nil {
-		return cause
-	}
-	drainToAbort(w.wt)
-	w.discard()
-	w.wt.Send(&Frame{Type: FrameResult, Result: &ResultFrame{Err: cause.Error()}})
-	return cause
-}
-
-// classify mirrors runStep's post-step scan: sort the dirty senders,
-// emit Park/Retire trace events with runStep's stamps, pre-meter every
-// sender (meterSender is round-independent, so metering can happen
-// before the coordinator assigns the round number), and pack the
-// cross-shard batches.
-func (w *shardWorker) classify() *RoundFrame {
-	rf := &RoundFrame{Stepped: len(w.active)}
-	w.yielded = w.yielded[:0]
-	w.dirty = w.dirty[:0]
-	for _, c := range w.active {
-		switch w.status[c.id] {
-		case StepYield:
-			w.yielded = append(w.yielded, c)
-			if c.hasSends() {
-				w.dirty = append(w.dirty, c)
-			}
-		case StepPark:
-			c.parked = true
-			w.e.traceBlocked(TracePark, c.id)
-			w.parkedCnt++
-			if c.hasSends() {
-				w.dirty = append(w.dirty, c)
-			}
-		case StepDone:
-			c.done = true
-			w.e.traceBlocked(TraceRetire, c.id)
-			// Retire-flush: a retiring vertex's sends are its last words,
-			// committed by the retirement itself.
-			if c.hasSends() {
-				w.dirty = append(w.dirty, c)
-			}
-			w.doneCnt++
-		}
-	}
-	sort.Slice(w.dirty, func(i, j int) bool { return w.dirty[i].id < w.dirty[j].id })
-	rf.Yielded = len(w.yielded)
-	rf.ParkedNow = w.parkedCnt
-	rf.DoneTotal = w.doneCnt
-	rf.Senders = len(w.dirty)
-	rf.Meter = MeterReport{ViolSender: -1}
+// report classifies the round's steps and builds the shard's report:
+// the classification counts, the metering (round-independent, so it can
+// precede the coordinator's decision), and the cross-shard batches.
+func (w *shardWorker) report() *RoundFrame {
+	s := w.s
+	rf := &RoundFrame{Stepped: len(s.active)}
+	s.classify()
+	rf.Yielded, rf.ParkedNow, rf.DoneTotal, rf.Senders = len(s.yielded), s.parked, s.done, len(s.dirty)
+	rf.Meter = s.meter()
 	rf.Out = make([]RecBatch, w.workers)
-	for _, c := range w.dirty {
-		rf.Meter.fold(c.id, w.e.meterSender(c))
+	for _, c := range s.dirty {
 		for ri := range c.outRecs {
 			o := &c.outRecs[ri]
-			dst := shardOf(w.cuts, int(o.to))
-			if dst == w.shard {
-				continue
+			if dst := shardOf(w.cuts, int(o.to)); dst != w.index {
+				rf.Out[dst].add(c.id, o, c.outInts[o.off:o.off+o.n])
 			}
-			var tail []int
-			if o.n > 0 {
-				tail = c.outInts[o.off : o.off+o.n]
-			}
-			rf.Out[dst].add(c.id, o, tail)
 		}
 	}
 	return rf
 }
 
-// wakeScan is the dry half of flushWakes plus the delivery
+// checkBatches rejects inbound batches that do not fit the partition: a
+// record must come from a sender of its source shard and go to a vertex
+// of this one. The wire decoder cannot check this (it does not know the
+// partition), and a stray receiver would index vertex state this worker
+// does not hold.
+func (w *shardWorker) checkBatches(in []RecBatch) error {
+	if len(in) != w.workers {
+		return fmt.Errorf("%w: batches frame with %d shards, want %d", ErrTransport, len(in), w.workers)
+	}
+	for src := range in {
+		for ri := range in[src].Recs {
+			br := &in[src].Recs[ri]
+			if from := int(br.From); !w.s.owns(int(br.To)) || from < w.cuts[src] || from >= w.cuts[src+1] {
+				return fmt.Errorf("%w: batch from shard %d carries a record %d -> %d outside the partition", ErrTransport, src, br.From, br.To)
+			}
+		}
+	}
+	return nil
+}
+
+// wakeScan is the worker's part of the quiesce test plus the delivery
 // counters: scan every pending delivery into this shard — own-local
 // sends still sitting in the sender arenas plus the inbound batches —
 // without applying anything.
@@ -345,144 +264,51 @@ func (w *shardWorker) wakeScan(in []RecBatch) *WakeFrame {
 	w.iterNo++
 	wf := &WakeFrame{}
 	scan := func(to int, bits int64) {
-		c := w.e.ctxs[to]
+		c := w.s.ctxs[to]
 		if c.done {
 			return
 		}
 		wf.WouldWake = true
 		wf.Delivered++
 		wf.DeliveredBits += bits
-		if c.parked && w.wakeStamp[to-w.lo] != w.iterNo {
-			w.wakeStamp[to-w.lo] = w.iterNo
+		if c.parked && w.wakeStamp[to-w.s.lo] != w.iterNo {
+			w.wakeStamp[to-w.s.lo] = w.iterNo
 			wf.Woken++
 		}
 	}
-	for _, c := range w.dirty {
+	for _, c := range w.s.dirty {
 		for ri := range c.outRecs {
-			o := &c.outRecs[ri]
-			if w.owned(int(o.to)) {
+			if o := &c.outRecs[ri]; w.s.owns(int(o.to)) {
 				scan(int(o.to), o.bits)
 			}
 		}
 	}
-	for s := range in {
-		if s == w.shard {
+	for src := range in {
+		if src == w.index {
 			continue
 		}
-		for ri := range in[s].Recs {
-			scan(int(in[s].Recs[ri].To), in[s].Recs[ri].Bits)
+		for ri := range in[src].Recs {
+			scan(int(in[src].Recs[ri].To), in[src].Recs[ri].Bits)
 		}
 	}
 	return wf
 }
 
-func (w *shardWorker) owned(v int) bool { return v >= w.lo && v < w.hi }
-
-// commit applies a committed round r: advance the round counter (which
-// stamps the trace events), deliver in global ascending-sender order,
-// and rebuild the active set exactly like runStep's round epilogue.
-func (w *shardWorker) commit(in []RecBatch, r int) {
-	w.e.stats.Rounds = r
-	w.woken = w.woken[:0]
-	w.apply(in, false)
-	w.parkedCnt -= len(w.woken)
-	w.active = w.active[:0]
-	for _, c := range w.yielded {
-		w.ins[c.id] = StepIn{Recs: c.takeRecs()}
-		w.active = append(w.active, c)
-	}
-	for _, c := range w.woken {
-		w.ins[c.id] = StepIn{Recs: c.takeRecs()}
-		w.active = append(w.active, c)
-	}
-	w.woken = w.woken[:0]
-}
-
-// applyDrop is the meter-and-drop pass of the Finish/Quiesce decisions:
-// last words are metered (already, at classify) and traced as sends at
-// the final uncharged round, but nothing is delivered — the coordinator
-// only decides Finish/Quiesce when every pending target has retired.
-func (w *shardWorker) applyDrop() {
-	w.woken = w.woken[:0]
-	w.apply(nil, true)
-}
-
-// apply walks the round's deliveries in global ascending-sender order:
-// source shards in index order, with this shard's own dirty senders (in
-// ascending id) at its own position. Every own record yields a
-// TraceSend; a delivery to a live owned vertex yields TraceDeliver (and
-// TraceWake when it unparks), exactly like route's serial loop.
-func (w *shardWorker) apply(in []RecBatch, drop bool) {
-	for s := 0; s < w.workers; s++ {
-		if s == w.shard {
-			for _, c := range w.dirty {
-				for ri := range c.outRecs {
-					o := &c.outRecs[ri]
-					if w.e.tracer != nil {
-						w.e.tracer.Event(TraceEvent{Kind: TraceSend, Round: w.e.stats.Rounds, V: c.id, Peer: int(o.to), Tag: o.tag, Bits: int(o.bits)})
-					}
-					if drop || !w.owned(int(o.to)) {
-						continue
-					}
-					var tail []int
-					if o.n > 0 {
-						tail = c.outInts[o.off : o.off+o.n]
-					}
-					w.deliver(c.id, int(o.to), Rec{Tag: o.tag, Flag: o.flag, A: o.a, B: o.b, F0: o.f0, F1: o.f1, F2: o.f2}, o.bits, tail)
-				}
-			}
+// apply delivers a committed round in global ascending-sender order:
+// source shards in index order, this shard's own senders at its own
+// position.
+func (w *shardWorker) apply(in []RecBatch) {
+	for src := range in {
+		if src == w.index {
+			w.s.flush()
 			continue
 		}
-		if drop || in == nil {
-			continue
-		}
-		b := &in[s]
+		b := &in[src]
 		for ri := range b.Recs {
 			br := &b.Recs[ri]
-			var tail []int
-			if br.N > 0 {
-				tail = b.Ints[br.Off : br.Off+br.N]
-			}
-			w.deliver(int(br.From), int(br.To), Rec{Tag: br.Tag, Flag: br.Flag, A: br.A, B: br.B, F0: br.F0, F1: br.F1, F2: br.F2}, br.Bits, tail)
+			w.s.deliver(int(br.From), int(br.To), Rec{Tag: br.Tag, Flag: br.Flag, A: br.A, B: br.B, F0: br.F0, F1: br.F1, F2: br.F2}, br.Bits, b.Ints[br.Off:br.Off+br.N])
 		}
 	}
-	for _, c := range w.dirty {
-		c.clearSends()
-	}
-	w.dirty = w.dirty[:0]
-}
-
-// deliver copies one record into the receiving vertex's arena, flipping
-// a parked receiver awake — route's record-delivery body.
-func (w *shardWorker) deliver(from, to int, rec Rec, bits int64, tail []int) {
-	c := w.e.ctxs[to]
-	if c.done {
-		return
-	}
-	if w.e.tracer != nil {
-		w.e.tracer.Event(TraceEvent{Kind: TraceDeliver, Round: w.e.stats.Rounds, V: to, Peer: from, Tag: rec.Tag, Bits: int(bits)})
-	}
-	off := int32(len(c.inInts))
-	n := int32(len(tail))
-	if n > 0 {
-		c.inInts = append(c.inInts, tail...)
-	}
-	c.inRecs = append(c.inRecs, InRec{From: from, Rec: rec, off: off, n: n})
-	if c.parked {
-		c.parked = false
-		w.woken = append(w.woken, c)
-		if w.e.tracer != nil {
-			w.e.tracer.Event(TraceEvent{Kind: TraceWake, Round: w.e.stats.Rounds, V: to, Peer: from})
-		}
-	}
-}
-
-// discard drops all pending sends on an abort.
-func (w *shardWorker) discard() {
-	for _, c := range w.dirty {
-		c.clearSends()
-	}
-	w.dirty = w.dirty[:0]
 }
 
 // sendAbortResult acknowledges a coordinator-initiated abort with an
@@ -500,9 +326,9 @@ func (w *shardWorker) sendResult(cause error) error {
 		res.Err = cause.Error()
 	} else {
 		if w.collect && w.output != nil {
-			res.Outputs = make([][]int, w.hi-w.lo)
-			for v := w.lo; v < w.hi; v++ {
-				res.Outputs[v-w.lo] = w.output(v)
+			res.Outputs = make([][]int, w.s.hi-w.s.lo)
+			for v := w.s.lo; v < w.s.hi; v++ {
+				res.Outputs[v-w.s.lo] = w.output(v)
 			}
 		}
 		if w.rec != nil {

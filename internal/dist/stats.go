@@ -57,10 +57,8 @@ type Stats struct {
 //   - Active, Parked, Senders: deterministic; which vertices yield,
 //     park, or send in a round depends only on delivered records and
 //     per-vertex RNG streams, never on how steps are sharded.
-//   - Delivered, DeliveredBits: deterministic when computed. They are
-//     only accumulated when Config.OnRound or Config.Tracer is set
-//     (delivery-side accounting is a cost the bare hot path must not
-//     pay) and read as zero otherwise.
+//   - Delivered, DeliveredBits: deterministic. Like the whole snapshot,
+//     they are observable only through Config.OnRound or Config.Tracer.
 type RoundActivity struct {
 	// Round is the 1-based number of the round that just completed.
 	Round int
@@ -76,10 +74,9 @@ type RoundActivity struct {
 	// Delivered is the number of records the round's routing placed in
 	// live inboxes — sends to already-retired vertices are metered in
 	// Stats but not delivered, so Delivered <= the round's share of
-	// Stats.Messages. Zero unless OnRound or Tracer is configured.
+	// Stats.Messages.
 	Delivered int
 	// DeliveredBits is the total metered size of the Delivered records.
-	// Zero unless OnRound or Tracer is configured.
 	DeliveredBits int64
 }
 

@@ -142,28 +142,16 @@ type Tracer interface {
 	RoundTime(t RoundTiming)
 }
 
-// traceBlocked emits a Park or Retire event for vertex v, stamped one
-// past the last completed round. The nil check lives here so every
-// parking/retiring site pays one predictable branch and zero
-// allocations when tracing is disabled.
-func (e *engine) traceBlocked(kind TraceKind, v int) {
-	if e.tracer == nil {
-		return
-	}
-	e.tracer.Event(TraceEvent{Kind: kind, Round: e.stats.Rounds + 1, V: v, Peer: -1})
-}
-
-// traceRoundTime computes and emits the completed round's RoundTiming
-// and arms the next round's boundary timestamp. Called from recordRound
-// only when a tracer is installed (e.timed).
-func (e *engine) traceRoundTime(round int) {
-	wall := time.Since(e.lastTick)
-	route := time.Duration(e.routeNs)
-	step := time.Duration(e.stepNs)
+// traceRoundTime computes and emits the completed round's RoundTiming.
+// Called from record only when the timing channel is armed.
+func (g *global) traceRoundTime(round int) {
+	wall := time.Since(g.lastTick)
+	route := time.Duration(g.routeNs)
+	step := time.Duration(g.stepNs)
 	syn := wall - step - route
 	if syn < 0 {
 		syn = 0
 	}
-	e.tracer.RoundTime(RoundTiming{Round: round, Wall: wall, Step: step, Route: route, Sync: syn})
-	e.routeNs, e.stepNs = 0, 0
+	g.tracer.RoundTime(RoundTiming{Round: round, Wall: wall, Step: step, Route: route, Sync: syn})
+	g.routeNs, g.stepNs = 0, 0
 }

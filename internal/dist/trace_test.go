@@ -237,23 +237,13 @@ func TestTraceDeliveredMatchesStats(t *testing.T) {
 }
 
 // TestNilTracerZeroAllocs pins the disabled path's cost: with no tracer
-// installed, the per-event emission helpers must not allocate, and the
-// engine must not arm the timing clock or delivery metering.
+// installed, the per-event emission helpers must not allocate.
 func TestNilTracerZeroAllocs(t *testing.T) {
 	g := clique(4)
-	e, err := newEngine(Config{Graph: g, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.timed {
-		t.Error("nil tracer armed the timing clock")
-	}
-	if e.meterDlv {
-		t.Error("nil tracer (and nil OnRound) armed delivery metering")
-	}
+	s := newShard(g, 1, 0, g.N(), func(*Ctx) Machine { return nil }, 0, nil, nil)
 	if n := testing.AllocsPerRun(100, func() {
-		e.traceBlocked(TracePark, 2)
-		e.traceBlocked(TraceRetire, 3)
+		s.traceBlocked(TracePark, 2)
+		s.traceBlocked(TraceRetire, 3)
 	}); n != 0 {
 		t.Errorf("traceBlocked with nil tracer allocated %v times per run", n)
 	}

@@ -9,27 +9,25 @@ import (
 	"distspanner/internal/graph"
 )
 
-// The pluggable transport seam. A run can execute on a single engine
-// (RunMachines in-process) or be sharded across workers, each owning a
-// contiguous vertex range and stepping its machines with the engine's
-// step loop, with a coordinator driving the round/quiescence
-// protocol. What moves between the processes is exactly the engine's
-// serialization points: a round's record batches, the per-shard
-// activity/metering reports, and the coordinator's round decisions.
+// The pluggable transport seam. A run can execute in-process
+// (RunMachines) or be sharded across workers, each owning a contiguous
+// vertex range, with a coordinator driving the round/quiescence
+// protocol. Both are the same engine: the per-shard half (step.go) runs
+// on each worker exactly as it runs over [0, n) in-process, and the
+// global half (round.go) runs on the coordinator over the sums of the
+// workers' reports. What moves between the processes is only what the
+// halves exchange: a round's classification counts, metering and
+// cross-shard record batches, the wake scans, and the decisions.
 //
-// The protocol is a pure re-partitioning of runStep (step.go): every
-// decision the coordinator takes — commit a round, quiesce, finish,
-// abort — is the decision runStep would have taken with the same global
-// information, and every worker-side effect (classification, metering,
-// delivery, trace emission) happens in the same order as the in-process
-// engine. A transport is correct iff a distributed run reproduces the
-// in-process per-vertex trace digests and Stats bit-for-bit; the
-// conformance suite (internal/dist/transportconf) checks exactly that.
+// A transport is correct iff a distributed run reproduces the in-process
+// per-vertex trace digests and Stats bit-for-bit; the conformance suite
+// (internal/dist/transportconf) checks exactly that.
 //
 // Partitions must be contiguous ascending vertex ranges: shard order
 // then equals global sender-id order, which is what lets a worker apply
 // inbound batches in shard order and reproduce the in-process
-// per-vertex event interleaving (route visits senders ascending).
+// per-vertex event interleaving (the in-process run delivers senders in
+// ascending id).
 //
 // Records cross shards as themselves: the Rec wire format is the
 // serialization.
@@ -53,8 +51,8 @@ const (
 	// batches inbound to this shard, indexed by source shard.
 	FrameBatches
 	// FrameWake (worker → coordinator, each iteration): what this
-	// shard's pending deliveries would do — the distributed half of
-	// flushWakes and the delivery counters.
+	// shard's pending deliveries would do — the worker's part of the
+	// quiesce test (flushWakes in-process) and the delivery counters.
 	FrameWake
 	// FrameDecision (coordinator → worker, each iteration): commit,
 	// quiesce, finish, or abort.
@@ -105,8 +103,9 @@ type SetupFrame struct {
 	Collect bool
 }
 
-// MeterReport aggregates one shard's meterSender results for one
-// iteration — the same quantities route folds into Stats.
+// MeterReport is the engine's metering of a set of record sends — one
+// sender's, one shard's, or one round's — in the quantities Stats
+// accumulates. A worker ships its shard's report in each RoundFrame.
 type MeterReport struct {
 	Msgs, Bits, CutBits int64
 	MaxMsg, MaxEdge     int
@@ -119,23 +118,17 @@ type MeterReport struct {
 	ViolBits   int
 }
 
-// fold merges a per-sender meterResult into the report, keeping the
-// first violation by the (ascending) sender order of the caller.
-func (m *MeterReport) fold(senderID int, r meterResult) {
-	m.Msgs += r.msgs
-	m.Bits += r.bits
-	m.CutBits += r.cut
-	if r.maxMsg > m.MaxMsg {
-		m.MaxMsg = r.maxMsg
-	}
-	if r.maxEdge > m.MaxEdge {
-		m.MaxEdge = r.maxEdge
-	}
-	if r.viol > 0 {
-		m.Violations += r.viol
-		if m.ViolSender < 0 {
-			m.ViolSender, m.ViolTo, m.ViolBits = senderID, r.violTo, r.violBits
-		}
+// add merges o, the metering of later senders, into m: sums and maxima,
+// keeping the earlier first violation.
+func (m *MeterReport) add(o *MeterReport) {
+	m.Msgs += o.Msgs
+	m.Bits += o.Bits
+	m.CutBits += o.CutBits
+	m.MaxMsg = max(m.MaxMsg, o.MaxMsg)
+	m.MaxEdge = max(m.MaxEdge, o.MaxEdge)
+	m.Violations += o.Violations
+	if m.ViolSender < 0 && o.ViolSender >= 0 {
+		m.ViolSender, m.ViolTo, m.ViolBits = o.ViolSender, o.ViolTo, o.ViolBits
 	}
 }
 
@@ -155,7 +148,7 @@ type BatchRec struct {
 
 // RecBatch is the records one shard sends to one other shard in one
 // round, ordered by (ascending sender id, send order) — the same order
-// route delivers in. Ints is the packed tail arena.
+// the in-process run delivers in. Ints is the packed tail arena.
 type RecBatch struct {
 	Recs []BatchRec
 	Ints []int
@@ -200,7 +193,7 @@ type BatchesFrame struct {
 // deliveries into this shard would do, computed without applying them.
 type WakeFrame struct {
 	// WouldWake reports whether any pending delivery targets a non-done
-	// vertex of this shard — the distributed half of flushWakes.
+	// vertex of this shard — the worker's part of flushWakes.
 	WouldWake bool
 	// Woken counts the distinct parked vertices that would be woken.
 	Woken int
@@ -314,6 +307,11 @@ type chanEndpoint struct {
 }
 
 func newChanEndpoint() *chanEndpoint {
+	// Two slots: on an abort, either direction can hold two unread
+	// frames — the coordinator's abort decision behind a BatchesFrame
+	// the worker has not read yet, or a worker's ResultFrame behind the
+	// WakeFrame the aborting coordinator never read — and neither side
+	// should block on a peer that is not reading.
 	return &chanEndpoint{ch: make(chan *Frame, 2), closed: make(chan struct{})}
 }
 

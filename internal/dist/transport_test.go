@@ -202,6 +202,47 @@ func TestShardedWorkerFailures(t *testing.T) {
 	}
 }
 
+func TestWorkerRejectsStrayBatchRecords(t *testing.T) {
+	// The test plays the coordinator of worker 0 of two over path(6)
+	// (cuts 0, 3, 6) and relays one malformed record from shard 1: the
+	// worker must fail with ErrTransport, not panic.
+	for _, tc := range []struct {
+		name string
+		rec  BatchRec
+	}{
+		{"receiver in another shard", BatchRec{From: 3, To: 4}},
+		{"receiver past the last vertex", BatchRec{From: 3, To: 9}},
+		{"negative receiver", BatchRec{From: 3, To: -1}},
+		{"sender outside its source shard", BatchRec{From: 1, To: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ct, wts := NewChanCluster(1)
+			defer ct.Close()
+			resolve := func(string, *graph.Graph, int64) (ShardProgram, error) {
+				return ShardProgram{Factory: func(*Ctx) Machine {
+					return machineFunc(func(*Ctx, StepIn) StepStatus { return StepYield })
+				}}, nil
+			}
+			served := make(chan error, 1)
+			go func() { served <- ServeShard(wts[0], resolve) }()
+			su := &SetupFrame{Shard: 0, Workers: 2, Cuts: PartitionEven(6, 2), Graph: path(6), Seed: 1}
+			if err := ct.Send(0, &Frame{Type: FrameSetup, Setup: su}); err != nil {
+				t.Fatal(err)
+			}
+			if f, err := ct.Receive(0); err != nil || f.Type != FrameRound {
+				t.Fatalf("round report: %+v, %v", f, err)
+			}
+			bf := &BatchesFrame{In: []RecBatch{{}, {Recs: []BatchRec{tc.rec}}}}
+			if err := ct.Send(0, &Frame{Type: FrameBatches, Batches: bf}); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-served; !errors.Is(err, ErrTransport) {
+				t.Fatalf("ServeShard = %v, want ErrTransport", err)
+			}
+		})
+	}
+}
+
 func TestShardedValidation(t *testing.T) {
 	if _, err := RunMachines(Config{Shards: 2}, func(c *Ctx) Machine { return nil }); err == nil {
 		t.Fatal("nil graph must error")
