@@ -182,22 +182,29 @@ func RunMachines(cfg Config, factory func(*Ctx) Machine) (*Stats, error) {
 	if err := checkConfig(cfg); err != nil {
 		return nil, err
 	}
-	n := cfg.Graph.N()
-	if n == 0 {
+	if cfg.Graph.N() == 0 {
 		return &Stats{}, nil
 	}
-	g := newGlobal(cfg)
-	s := newShard(cfg.Graph, cfg.Seed, 0, n, factory, cfg.Bandwidth, cfg.CutSide, cfg.Tracer)
-	if cfg.Tracer != nil {
-		// Only the in-process run has a timing channel. Machine
-		// construction is setup, not round 1.
-		g.timed, g.lastTick = true, time.Now()
-	}
+	g, s := newInProcess(cfg, factory)
 	if err := runStep(g, s); err != nil {
 		return nil, err
 	}
 	st := g.stats
 	return &st, nil
+}
+
+// newInProcess builds the two halves of an in-process run over a
+// validated, non-empty cfg: the global half and one shard over every
+// vertex. The timing channel is armed only when a tracer is installed.
+func newInProcess(cfg Config, factory func(*Ctx) Machine) (*global, *shard) {
+	g := newGlobal(cfg)
+	s := newShard(cfg.Graph, cfg.Seed, 0, cfg.Graph.N(), factory, cfg.Bandwidth, cfg.CutSide, cfg.Tracer)
+	if cfg.Tracer != nil {
+		// Only the in-process run has a timing channel. Machine
+		// construction is setup, not round 1.
+		g.timed, g.lastTick = true, time.Now()
+	}
+	return g, s
 }
 
 // runStep drives the in-process run — one shard over every vertex — to

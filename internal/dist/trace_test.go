@@ -237,10 +237,13 @@ func TestTraceDeliveredMatchesStats(t *testing.T) {
 }
 
 // TestNilTracerZeroAllocs pins the disabled path's cost: with no tracer
-// installed, the per-event emission helpers must not allocate.
+// installed, the per-event emission helpers must not allocate, and the
+// in-process run must not arm the timing clock.
 func TestNilTracerZeroAllocs(t *testing.T) {
-	g := clique(4)
-	s := newShard(g, 1, 0, g.N(), func(*Ctx) Machine { return nil }, 0, nil, nil)
+	gr, s := newInProcess(Config{Graph: clique(4), Seed: 1}, func(*Ctx) Machine { return nil })
+	if gr.timed {
+		t.Error("nil tracer armed the timing clock")
+	}
 	if n := testing.AllocsPerRun(100, func() {
 		s.traceBlocked(TracePark, 2)
 		s.traceBlocked(TraceRetire, 3)
