@@ -79,7 +79,8 @@ func TestCrossTransportScenarioEquivalence(t *testing.T) {
 // the removed "engine" parameter — before a run could reach them.
 func TestTransportParamValidation(t *testing.T) {
 	for _, bad := range []Params{
-		{"transport": "tcp"}, {"transport": "chan0"}, {"timing": "maybe"},
+		{"transport": "tcp"}, {"transport": "chan0"}, {"transport": "local"},
+		{"transport": "chan2"}, {"transport": "chan100000"}, {"timing": "maybe"},
 		{"engine": "step"}, {"engine": "bogus"},
 	} {
 		if err := CheckExecParams(bad); err == nil {
@@ -87,7 +88,7 @@ func TestTransportParamValidation(t *testing.T) {
 		}
 	}
 	for _, good := range []Params{
-		{}, {"n": "8"}, {"transport": "local"}, {"transport": "chan3", "timing": "true", "obs": "17"},
+		{}, {"n": "8"}, {"timing": "true", "obs": "17"},
 	} {
 		if err := CheckExecParams(good); err != nil {
 			t.Errorf("CheckExecParams(%v) = %v", good, err)

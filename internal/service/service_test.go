@@ -292,14 +292,15 @@ func TestRejectedRequests(t *testing.T) {
 // TestMalformedExecOnlyParamsRejected: execution-only params never enter
 // the cache key, so a malformed one must be refused at admission — run,
 // it would panic in a pool slot, and keyed, it would share the valid
-// instance's flight and cache entry. The removed "engine" param is
-// refused by name. None of them may execute, and the valid instance
+// instance's flight and cache entry. The removed "engine" and
+// "transport" params are refused by name, whatever their value. None of them may execute, and the valid instance
 // still runs cleanly afterwards.
 func TestMalformedExecOnlyParamsRejected(t *testing.T) {
 	srv, ts := newTestServer(t, Options{Workers: 1})
 	base := map[string]string{"family": "gnp", "n": "24", "p": "0.2"}
 	for _, tc := range []struct{ key, val, want string }{
-		{"transport", "bogus", "unknown transport"},
+		{"transport", "chan2", "was removed"},
+		{"transport", "chan100000", "was removed"},
 		{"timing", "maybe", "not a bool"},
 		{"engine", "bogus", "was removed"},
 	} {
@@ -313,8 +314,8 @@ func TestMalformedExecOnlyParamsRejected(t *testing.T) {
 		}
 	}
 	st := srv.Stats()
-	if st.Rejected != 3 || st.RunErrors != 0 {
-		t.Errorf("rejected = %d, run errors = %d; want 3, 0", st.Rejected, st.RunErrors)
+	if st.Rejected != 4 || st.RunErrors != 0 {
+		t.Errorf("rejected = %d, run errors = %d; want 4, 0", st.Rejected, st.RunErrors)
 	}
 	if ps := srv.pool.Stats(); ps.Executions != 0 || ps.Failures != 0 {
 		t.Errorf("malformed requests reached the pool: %+v", ps)
