@@ -6,16 +6,13 @@
 //	sweep -list
 //	sweep -scenario twospanner -grid "n=64,128;p=0.1,0.2" -replicates 3 -json out.json
 //	sweep -scenario mds -workers 8 -csv mds.csv
-//	sweep -scenario twospanner -grid "transport=local,chan4;n=128"   # compare delivery layers
 //	sweep -scenario twospanner -timing -csv t.csv       # add wall-clock timing columns
 //	sweep -scenario mds -cpuprofile cpu.pprof           # profile the whole sweep
 //
 // Without -grid the scenario's default cases/grid run. Reports are
 // deterministic functions of (-scenario, -grid, -replicates, -seed);
-// -workers only changes wall-clock time. Simulated scenarios also honor
-// the execution-only "transport" parameter (local, chanK): because
-// transports are bit-identical by contract, a transport axis in -grid is
-// a pure wall-clock comparison. Malformed execution-only parameters are
+// -workers only changes wall-clock time. Malformed execution-only
+// parameters, and the removed "engine" and "transport" parameters, are
 // rejected before anything runs (exit 2). -timing overlays the
 // execution-only "timing" parameter, adding per-round wall-time and
 // scheduler-phase-share columns (round_wall_ns_mean/max,
@@ -169,8 +166,6 @@ func list() {
 	}
 	fmt.Println("\ndirected: family=rdg (n, p) or any family above with twoway=<frac>")
 	fmt.Println("weights:  add whi=<max> (and wlo=<min>) to weight any family")
-	fmt.Println("transport: add transport=local|chanK to run sharded over K in-process workers;")
-	fmt.Println("          transports are bit-identical, so a transport axis compares wall clock only")
 	fmt.Println("timing:   add timing=1 (or -timing) for per-round wall-time and scheduler-share")
 	fmt.Println("          columns — wall-clock telemetry, excluded from deterministic baselines")
 }

@@ -28,10 +28,6 @@ type Options struct {
 	// deterministic logical transcript and the wall-clock timing channel
 	// (see dist.Config.Tracer). Zero cost when nil.
 	Tracer dist.Tracer
-	// Shards, when positive, runs the protocol distributed across that
-	// many shard workers over an in-process transport (see
-	// dist.Config.Shards). Results are bit-identical to Shards == 0.
-	Shards int
 
 	// VoteDenominator is an ablation knob for the acceptance rule: a
 	// candidate star is accepted when votes >= |C_v| / VoteDenominator.
@@ -182,7 +178,7 @@ func (r *run) program() dist.ShardProgram {
 func (r *run) execute(cfg dist.Config) (*Result, error) {
 	o := r.opts
 	cfg.Graph, cfg.Seed, cfg.MaxRounds = r.topo, o.Seed, o.MaxRounds
-	cfg.OnRound, cfg.Cancel, cfg.Tracer, cfg.Shards = o.RoundHook, o.Cancel, o.Tracer, o.Shards
+	cfg.OnRound, cfg.Cancel, cfg.Tracer = o.RoundHook, o.Cancel, o.Tracer
 	stats, err := dist.RunMachines(cfg, r.factory)
 	if err != nil {
 		return nil, err

@@ -89,14 +89,13 @@ func TestTwoSpannerGuaranteedRatioManySeeds(t *testing.T) {
 	}
 }
 
+// exactOPT is not the exact optimum: it returns n−1, a sound lower bound
+// on OPT for a connected unweighted graph, because every 2-spanner of a
+// connected graph is connected and so keeps at least n−1 edges. A ratio
+// measured against it is at least the true ratio, so a ratio check
+// against it is never looser than one against the true OPT.
 func exactOPT(t *testing.T, g *graph.Graph) float64 {
 	t.Helper()
-	// Import cycle avoidance: a local tiny branch-and-bound would duplicate
-	// internal/exact; instead compute OPT by the n-1 lower bound plus
-	// verification that some near-optimal star cover exists. For ratio
-	// tests we use the trivial lower bound, which only makes the test
-	// stricter for the algorithm (ratio measured against a smaller OPT
-	// would be larger; here OPT >= n-1 so ratio <= cost/(n-1)).
 	return float64(g.N() - 1)
 }
 

@@ -3,7 +3,6 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"distspanner/internal/graph"
 )
@@ -259,39 +258,4 @@ protocol:
 		}
 	}
 	return &CoordResult{Stats: g.stats, Outputs: outputs}, nil
-}
-
-// runSharded is RunMachines' Config.Shards path: the same machines, run
-// distributed over an in-process channel transport — Coordinate on the
-// calling goroutine, one ServeShard goroutine per shard, all sharing the
-// caller's factory through a resolver closure.
-func runSharded(cfg Config, factory func(*Ctx) Machine) (*Stats, error) {
-	if err := checkConfig(cfg); err != nil {
-		return nil, err
-	}
-	resolver := func(string, *graph.Graph, int64) (ShardProgram, error) {
-		return ShardProgram{Factory: factory}, nil
-	}
-	ct, wts := NewChanCluster(cfg.Shards)
-	var wg sync.WaitGroup
-	for i := range wts {
-		wg.Add(1)
-		go func(wt WorkerTransport) {
-			defer wg.Done()
-			ServeShard(wt, resolver)
-		}(wts[i])
-	}
-	res, err := Coordinate(ct, CoordConfig{
-		Graph: cfg.Graph, Seed: cfg.Seed,
-		Bandwidth: cfg.Bandwidth, Enforce: cfg.Enforce,
-		MaxRounds: cfg.MaxRounds, CutSide: cfg.CutSide,
-		OnRound: cfg.OnRound, Cancel: cfg.Cancel, Tracer: cfg.Tracer,
-	})
-	ct.Close()
-	wg.Wait()
-	if err != nil {
-		return nil, err
-	}
-	s := res.Stats
-	return &s, nil
 }

@@ -55,10 +55,12 @@
 // which is what lets runs scale to millions of vertices on one box.
 //
 // RunMachines runs both halves on the caller's goroutine, with one shard
-// over every vertex. Config.Shards, Coordinate and ServeShard run the
-// same halves apart: one shard per worker, and the global half on a
-// coordinator that learns each round's counts over a transport
-// (transport.go, coord.go, shard.go).
+// over every vertex. Coordinate and ServeShard run the same halves
+// apart: one shard per worker, and the global half on a coordinator that
+// learns each round's counts over a transport (transport.go, coord.go,
+// shard.go). How the vertices are split across workers is an execution
+// detail, never an algorithm input: a distributed run reproduces the
+// in-process run bit for bit.
 //
 // RunReference (ref.go) is a deliberately naive sequential interpreter
 // of the same semantics, called only by tests. The engine is correct
@@ -107,15 +109,6 @@ type Config struct {
 	// (Alice = false, Bob = true); the engine then meters the bits
 	// crossing the cut in Stats.CutBits. Length must equal Graph.N().
 	CutSide []bool
-	// Shards, when positive, runs RunMachines distributed: the graph is
-	// partitioned into that many contiguous vertex ranges, each stepped
-	// by its own worker over the in-process channel transport, with the
-	// round/quiescence protocol run by a coordinator (see transport.go,
-	// coord.go). Results, Stats, and trace digests are bit-identical to
-	// the single-engine run — the transport conformance suite asserts
-	// exactly that. Zero means off; the wire transports
-	// (internal/dist/wire) use Coordinate/ServeShard directly.
-	Shards int
 	// OnRound, when non-nil, is called after every completed round with
 	// that round's activity snapshot, in round order, on the scheduler
 	// goroutine while no machine is being stepped. It must not call back
@@ -176,9 +169,6 @@ func checkCut(cut []bool, n int) error {
 // when any directed edge carries more than cfg.Bandwidth bits in one
 // round.
 func RunMachines(cfg Config, factory func(*Ctx) Machine) (*Stats, error) {
-	if cfg.Shards > 0 {
-		return runSharded(cfg, factory)
-	}
 	if err := checkConfig(cfg); err != nil {
 		return nil, err
 	}

@@ -42,13 +42,7 @@ type runner struct {
 // workers, and the reference interpreter. The unit tests below hold all
 // of them to the same hand-derived expectations, so a test failing for
 // one runner only points straight at the one that is wrong.
-var runners = []runner{{"engine", RunMachines}, {"sharded3", runSharded3}, {"reference", RunReference}}
-
-// runSharded3 is RunMachines with cfg.Shards = 3.
-func runSharded3(cfg Config, factory func(*Ctx) Machine) (*Stats, error) {
-	cfg.Shards = 3
-	return RunMachines(cfg, factory)
-}
+var runners = []runner{{"engine", RunMachines}, {"sharded3", sharded(3)}, {"reference", RunReference}}
 
 // forRunners runs body once per runner as a named subtest.
 func forRunners(t *testing.T, body func(t *testing.T, run func(Config, func(*Ctx) Machine) (*Stats, error))) {

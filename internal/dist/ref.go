@@ -6,7 +6,7 @@ package dist
 // and the traced transcript. Each round it steps the active machines in
 // id order, then delivers the records of each sender in ascending id,
 // metering per edge; no sharding, dirty list, arenas or parallel metering.
-// Config.Shards is ignored and Tracer.RoundTime is never called.
+// Tracer.RoundTime is never called.
 func RunReference(cfg Config, factory func(*Ctx) Machine) (*Stats, error) {
 	if err := checkConfig(cfg); err != nil {
 		return nil, err

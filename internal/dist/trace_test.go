@@ -161,7 +161,7 @@ func TestTraceCrossModeChaosEquivalence(t *testing.T) {
 		for seed := int64(1); seed <= 2; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
 				ref := observe(RunReference, Config{Graph: g, Seed: seed}, mk)
-				sharded := observe(RunMachines, Config{Graph: g, Seed: seed, Shards: 3}, mk)
+				sharded := observe(sharded(3), Config{Graph: g, Seed: seed}, mk)
 				if ref.err != nil || sharded.err != nil {
 					t.Fatalf("reference err = %v, sharded err = %v", ref.err, sharded.err)
 				}

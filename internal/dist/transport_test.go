@@ -5,17 +5,57 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"distspanner/internal/graph"
 )
 
 // Tests for the sharded runner (transport.go, shard.go, coord.go) at the
-// engine level: Config.Shards over the in-process channel transport must
-// be indistinguishable from the single engine — outputs, Stats,
-// activity curves, trace transcripts, and error strings. The
+// engine level: Coordinate and ServeShard over the in-process channel
+// transport must be indistinguishable from the single engine — outputs,
+// Stats, activity curves, trace transcripts, and error strings. The
 // algorithm-level matrix (families × graphs × seeds, both transports)
 // lives in the conformance suite (transportconf).
+
+// runSharded runs factory's machines distributed over shards in-process
+// channel workers under cfg's engine semantics: Coordinate on the
+// calling goroutine, one ServeShard goroutine per shard, all sharing
+// factory through a resolver closure.
+func runSharded(cfg Config, shards int, factory func(*Ctx) Machine) (*Stats, error) {
+	resolver := func(string, *graph.Graph, int64) (ShardProgram, error) {
+		return ShardProgram{Factory: factory}, nil
+	}
+	ct, wts := NewChanCluster(shards)
+	var wg sync.WaitGroup
+	for i := range wts {
+		wg.Add(1)
+		go func(wt WorkerTransport) {
+			defer wg.Done()
+			ServeShard(wt, resolver)
+		}(wts[i])
+	}
+	res, err := Coordinate(ct, CoordConfig{
+		Graph: cfg.Graph, Seed: cfg.Seed,
+		Bandwidth: cfg.Bandwidth, Enforce: cfg.Enforce,
+		MaxRounds: cfg.MaxRounds, CutSide: cfg.CutSide,
+		OnRound: cfg.OnRound, Cancel: cfg.Cancel, Tracer: cfg.Tracer,
+	})
+	ct.Close()
+	wg.Wait()
+	if err != nil {
+		return nil, err
+	}
+	s := res.Stats
+	return &s, nil
+}
+
+// sharded is runSharded over a fixed shard count, as a runner.
+func sharded(shards int) func(Config, func(*Ctx) Machine) (*Stats, error) {
+	return func(cfg Config, factory func(*Ctx) Machine) (*Stats, error) {
+		return runSharded(cfg, shards, factory)
+	}
+}
 
 func shardCounts(n int) []int { return []int{1, 2, 3, 5, n + 2} }
 
@@ -34,12 +74,12 @@ func TestShardedChaosEquivalence(t *testing.T) {
 	for name, g := range graphs {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				run := func(shards int) ([]int64, Stats, []RoundActivity, *memTracer) {
+				run := func(shards int, run func(Config, func(*Ctx) Machine) (*Stats, error)) ([]int64, Stats, []RoundActivity, *memTracer) {
 					out := make([]int64, g.N())
 					var curve []RoundActivity
 					rec := newMemTracer(g.N())
-					stats, err := RunMachines(Config{
-						Graph: g, Seed: seed, Shards: shards,
+					stats, err := run(Config{
+						Graph: g, Seed: seed,
 						OnRound: func(a RoundActivity) { curve = append(curve, a) },
 						Tracer:  rec,
 					}, func(c *Ctx) Machine {
@@ -50,9 +90,9 @@ func TestShardedChaosEquivalence(t *testing.T) {
 					}
 					return out, *stats, curve, rec
 				}
-				refOut, refStats, refCurve, refRec := run(0)
+				refOut, refStats, refCurve, refRec := run(0, RunMachines)
 				for _, shards := range shardCounts(g.N()) {
-					out, stats, curve, rec := run(shards)
+					out, stats, curve, rec := run(shards, sharded(shards))
 					if !reflect.DeepEqual(refOut, out) {
 						t.Fatalf("shards=%d outputs diverged", shards)
 					}
@@ -85,7 +125,7 @@ func TestShardedRetireFlushAndSilentDrop(t *testing.T) {
 	// in-process run (Rounds=1, Messages=1).
 	for _, shards := range []int{2, 3} {
 		var m1 lastWordsMachine
-		stats, err := RunMachines(Config{Graph: path(3), Seed: 1, Shards: shards}, func(c *Ctx) Machine {
+		stats, err := runSharded(Config{Graph: path(3), Seed: 1}, shards, func(c *Ctx) Machine {
 			if c.ID() == 1 {
 				return &m1
 			}
@@ -104,7 +144,7 @@ func TestShardedRetireFlushAndSilentDrop(t *testing.T) {
 	// Silent drop: last words addressed to a retired vertex are metered
 	// but no round is charged, across a shard boundary.
 	for _, shards := range []int{2} {
-		stats, err := RunMachines(Config{Graph: path(2), Seed: 1, Shards: shards}, func(c *Ctx) Machine {
+		stats, err := runSharded(Config{Graph: path(2), Seed: 1}, shards, func(c *Ctx) Machine {
 			return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
 				if ctx.ID() == 1 {
 					return StepDone
@@ -138,7 +178,7 @@ func TestShardedErrorEquality(t *testing.T) {
 
 	// Round limit.
 	_, refErr := RunMachines(Config{Graph: g, Seed: 1, MaxRounds: 4}, busy)
-	_, shErr := RunMachines(Config{Graph: g, Seed: 1, MaxRounds: 4, Shards: 2}, busy)
+	_, shErr := runSharded(Config{Graph: g, Seed: 1, MaxRounds: 4}, 2, busy)
 	if refErr == nil || shErr == nil || refErr.Error() != shErr.Error() {
 		t.Fatalf("round-limit errors differ:\nref: %v\ngot: %v", refErr, shErr)
 	}
@@ -148,7 +188,7 @@ func TestShardedErrorEquality(t *testing.T) {
 
 	// Enforced bandwidth violation: same first violator, same round.
 	_, refErr = RunMachines(Config{Graph: g, Seed: 1, Bandwidth: 32, Enforce: true}, busy)
-	_, shErr = RunMachines(Config{Graph: g, Seed: 1, Bandwidth: 32, Enforce: true, Shards: 3}, busy)
+	_, shErr = runSharded(Config{Graph: g, Seed: 1, Bandwidth: 32, Enforce: true}, 3, busy)
 	if refErr == nil || shErr == nil || refErr.Error() != shErr.Error() {
 		t.Fatalf("bandwidth errors differ:\nref: %v\ngot: %v", refErr, shErr)
 	}
@@ -160,7 +200,7 @@ func TestShardedErrorEquality(t *testing.T) {
 	pre := make(chan struct{})
 	close(pre)
 	_, refErr = RunMachines(Config{Graph: g, Seed: 1, Cancel: pre}, busy)
-	_, shErr = RunMachines(Config{Graph: g, Seed: 1, Cancel: pre, Shards: 2}, busy)
+	_, shErr = runSharded(Config{Graph: g, Seed: 1, Cancel: pre}, 2, busy)
 	if refErr == nil || shErr == nil || refErr.Error() != shErr.Error() {
 		t.Fatalf("cancel errors differ:\nref: %v\ngot: %v", refErr, shErr)
 	}
@@ -170,12 +210,12 @@ func TestShardedErrorEquality(t *testing.T) {
 
 	// Mid-run cancellation from the OnRound hook.
 	cancel := make(chan struct{})
-	_, shErr = RunMachines(Config{Graph: g, Seed: 1, Shards: 2, Cancel: cancel,
+	_, shErr = runSharded(Config{Graph: g, Seed: 1, Cancel: cancel,
 		OnRound: func(a RoundActivity) {
 			if a.Round == 5 {
 				close(cancel)
 			}
-		}}, busy)
+		}}, 2, busy)
 	if !errors.Is(shErr, ErrCanceled) {
 		t.Fatalf("mid-run cancel: err = %v, want ErrCanceled", shErr)
 	}
@@ -185,7 +225,7 @@ func TestShardedWorkerFailures(t *testing.T) {
 	// A machine panic on one shard aborts the whole run and surfaces as a
 	// ShardError carrying the in-process panic text.
 	g := path(8)
-	_, err := RunMachines(Config{Graph: g, Seed: 1, Shards: 2}, func(c *Ctx) Machine {
+	_, err := runSharded(Config{Graph: g, Seed: 1}, 2, func(c *Ctx) Machine {
 		return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
 			if ctx.ID() == 6 && !in.Start {
 				panic("shard boom")
@@ -244,12 +284,12 @@ func TestWorkerRejectsStrayBatchRecords(t *testing.T) {
 }
 
 func TestShardedValidation(t *testing.T) {
-	if _, err := RunMachines(Config{Shards: 2}, func(c *Ctx) Machine { return nil }); err == nil {
+	if _, err := runSharded(Config{}, 2, func(c *Ctx) Machine { return nil }); err == nil {
 		t.Fatal("nil graph must error")
 	}
 	// Empty graph: zero rounds, no error — the protocol finishes on its
 	// first decision.
-	stats, err := RunMachines(Config{Graph: graph.New(0), Shards: 2}, func(c *Ctx) Machine { return nil })
+	stats, err := runSharded(Config{Graph: graph.New(0)}, 2, func(c *Ctx) Machine { return nil })
 	if err != nil || *stats != (Stats{}) {
 		t.Fatalf("empty sharded graph: %+v, %v", stats, err)
 	}
@@ -285,8 +325,8 @@ func TestShardedCutMetering(t *testing.T) {
 	for v := 4; v < 8; v++ {
 		cut[v] = true
 	}
-	run := func(shards int) Stats {
-		stats, err := RunMachines(Config{Graph: g, Seed: 1, Shards: shards, CutSide: cut},
+	run := func(shards int, run func(Config, func(*Ctx) Machine) (*Stats, error)) Stats {
+		stats, err := run(Config{Graph: g, Seed: 1, CutSide: cut},
 			func(c *Ctx) Machine {
 				return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
 					if in.Start {
@@ -301,12 +341,12 @@ func TestShardedCutMetering(t *testing.T) {
 		}
 		return *stats
 	}
-	ref := run(0)
+	ref := run(0, RunMachines)
 	if ref.CutBits == 0 {
 		t.Fatal("reference run metered no cut bits")
 	}
 	for _, shards := range []int{1, 2, 3} {
-		if got := run(shards); got != ref {
+		if got := run(shards, sharded(shards)); got != ref {
 			t.Fatalf("shards=%d stats = %+v, want %+v", shards, got, ref)
 		}
 	}

@@ -57,14 +57,37 @@ func benchRing(n int) *graph.Graph {
 	return g
 }
 
-func benchChanRun(b *testing.B, g *graph.Graph, shards int) {
-	stats, err := dist.RunMachines(dist.Config{Graph: g, Seed: 1, Shards: shards},
+func benchLocalRun(b *testing.B, g *graph.Graph) {
+	stats, err := dist.RunMachines(dist.Config{Graph: g, Seed: 1},
 		func(*dist.Ctx) dist.Machine { return &benchBusy{} })
 	if err != nil {
 		b.Fatal(err)
 	}
 	if stats.Rounds != benchRounds {
 		b.Fatalf("rounds = %d", stats.Rounds)
+	}
+}
+
+func benchChanRun(b *testing.B, g *graph.Graph, workers int) {
+	ct, wts := dist.NewChanCluster(workers)
+	var wg sync.WaitGroup
+	for _, wt := range wts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := dist.ServeShard(wt, benchResolver); err != nil {
+				b.Error(err)
+			}
+		}()
+	}
+	res, err := dist.Coordinate(ct, dist.CoordConfig{Graph: g, Seed: 1})
+	ct.Close()
+	wg.Wait()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res.Stats.Rounds != benchRounds {
+		b.Fatalf("rounds = %d", res.Stats.Rounds)
 	}
 }
 
@@ -111,7 +134,7 @@ func BenchmarkTransportLoopback(b *testing.B) {
 			name string
 			run  func(b *testing.B)
 		}{
-			{"local", func(b *testing.B) { benchChanRun(b, g, 0) }},
+			{"local", func(b *testing.B) { benchLocalRun(b, g) }},
 			{"chan2", func(b *testing.B) { benchChanRun(b, g, 2) }},
 			{"tcp2", func(b *testing.B) { benchTCPRun(b, g, 2) }},
 		}

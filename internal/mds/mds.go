@@ -72,10 +72,6 @@ type Options struct {
 	// Tracer, when non-nil, receives the run's execution narration (see
 	// dist.Config.Tracer). Zero cost when nil.
 	Tracer dist.Tracer
-	// Shards, when positive, runs the algorithm distributed across that
-	// many shard workers over an in-process transport (see
-	// dist.Config.Shards). Results are bit-identical to Shards == 0.
-	Shards int
 }
 
 // Result reports the outcome.
@@ -188,7 +184,6 @@ func Run(g *graph.Graph, opts Options) (*Result, error) {
 		OnRound:   opts.RoundHook,
 		Cancel:    opts.Cancel,
 		Tracer:    opts.Tracer,
-		Shards:    opts.Shards,
 	}, mr.factory)
 	if err != nil {
 		return nil, err

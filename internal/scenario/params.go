@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -105,33 +104,37 @@ func (p Params) Key() string {
 // InstanceKey so that cells differing only in execution knobs draw the
 // same derived seeds and share one cache entry. "timing" (record the
 // wall-clock timing channel and surface it as metrics) is pure
-// observation: it must not change which instance a cell runs.
-// "transport" (local in-process engine vs the
-// sharded runner over an in-process channel cluster) is the delivery
-// layer: results are transport-independent by the conformance
-// contract, so it too is excluded. "obs" (a live run-observer token,
-// see RegisterObserver) only attaches a progress listener — the
-// service layer streams per-round activity through it without
-// perturbing the job's cache identity.
-var execOnlyParams = map[string]bool{"timing": true, "transport": true, "obs": true}
+// observation: it must not change which instance a cell runs. "obs" (a
+// live run-observer token, see RegisterObserver) only attaches a
+// progress listener — the service layer streams per-round activity
+// through it without perturbing the job's cache identity.
+var execOnlyParams = map[string]bool{"timing": true, "obs": true}
+
+// removedParams are execution parameters that no longer exist, each with
+// the reason. Accepted silently, one would become an instance parameter
+// and move cache keys and sweep seeds, so CheckExecParams refuses it by
+// name.
+var removedParams = []struct{ name, why string }{
+	{"engine", "every run uses the one step engine"},
+	{"transport", "every run uses the in-process engine; distributed runs go through cmd/coord and cmd/node"},
+}
 
 // CheckExecParams validates the execution-only parameters of p, so a
 // caller (spannerd, cmd/sweep) can reject a malformed request before it
-// is keyed or run: "timing" must be a bool and "transport" local or
-// chanK. The removed "engine" parameter is rejected by name — accepted
-// silently it would become an instance parameter and move cache keys
-// and sweep seeds.
+// is keyed or run: "timing" must be a bool, and the removed parameters
+// must be absent.
 func CheckExecParams(p Params) error {
-	if _, ok := p["engine"]; ok {
-		return errors.New(`scenario: the "engine" parameter was removed: every run uses the one step engine`)
+	for _, r := range removedParams {
+		if _, ok := p[r.name]; ok {
+			return fmt.Errorf("scenario: the %q parameter was removed: %s", r.name, r.why)
+		}
 	}
 	if s, ok := p["timing"]; ok {
 		if _, err := strconv.ParseBool(s); err != nil {
 			return fmt.Errorf("scenario: param timing=%q is not a bool", s)
 		}
 	}
-	_, err := parseTransport(p)
-	return err
+	return nil
 }
 
 // InstanceParams returns a copy of p without the execution-only

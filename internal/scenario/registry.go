@@ -14,8 +14,8 @@
 //
 // Every scenario that executes on the internal/dist engine (the spanner
 // variants, MDS, and the E1–E15 experiments built on them) runs on its
-// one step engine. A few parameters select how a run executes rather
-// than what it computes — "timing", "transport", "obs" (see
+// one step engine, in-process. A few parameters select how a run
+// executes rather than what it computes — "timing", "obs" (see
 // Params.InstanceParams): they are excluded from instance identity, and
 // CheckExecParams validates them before a run is admitted.
 package scenario

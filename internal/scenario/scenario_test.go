@@ -40,6 +40,29 @@ func TestParamsMergeAndKey(t *testing.T) {
 	}
 }
 
+// TestTransportParamValidation pins the parameter surface:
+// CheckExecParams refuses every malformed execution-only value, and the
+// removed "engine" and "transport" parameters whatever their value,
+// before a run could reach them.
+func TestTransportParamValidation(t *testing.T) {
+	for _, bad := range []Params{
+		{"transport": "tcp"}, {"transport": "chan0"}, {"transport": "local"},
+		{"transport": "chan2"}, {"transport": "chan100000"}, {"timing": "maybe"},
+		{"engine": "step"}, {"engine": "bogus"},
+	} {
+		if err := CheckExecParams(bad); err == nil {
+			t.Errorf("CheckExecParams(%v) accepted it", bad)
+		}
+	}
+	for _, good := range []Params{
+		{}, {"n": "8"}, {"timing": "true", "obs": "17"},
+	} {
+		if err := CheckExecParams(good); err != nil {
+			t.Errorf("CheckExecParams(%v) = %v", good, err)
+		}
+	}
+}
+
 func TestParseGrid(t *testing.T) {
 	g, err := ParseGrid("n=64,128; p=0.1,0.2")
 	if err != nil {

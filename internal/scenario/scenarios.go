@@ -3,8 +3,6 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 
 	"distspanner/internal/baseline"
 	"distspanner/internal/core"
@@ -85,36 +83,6 @@ func verifySpanner(g *graph.Graph, H *graph.EdgeSet, k int, m Metrics) error {
 	return nil
 }
 
-// parseTransport parses the shared execution-only "transport"
-// parameter: "local" (the default) runs the dist engine in-process;
-// "chanK" (e.g. "chan4") runs the protocol distributed across K shard
-// workers over the in-process channel transport (dist.Config.Shards).
-// The parameter selects how a run executes, not what instance it runs
-// on: results are transport-independent by the transport conformance
-// contract, and the parameter is excluded from InstanceKey.
-func parseTransport(p Params) (int, error) {
-	t := p.Str("transport", "local")
-	if t == "local" {
-		return 0, nil
-	}
-	if rest, ok := strings.CutPrefix(t, "chan"); ok {
-		if k, err := strconv.Atoi(rest); err == nil && k > 0 {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: unknown transport %q (want local or chanK)", t)
-}
-
-// transportShards is parseTransport for a run: a malformed value that
-// got past CheckExecParams is a caller bug and panics.
-func transportShards(p Params) int {
-	k, err := parseTransport(p)
-	if err != nil {
-		panic(err.Error())
-	}
-	return k
-}
-
 // coreOptions builds the shared core options plus the run's timing
 // recorder (nil unless the execution-only "timing" parameter is set —
 // see timingTracer). The recorder, when present, is already installed
@@ -126,7 +94,6 @@ func coreOptions(p Params, seed int64, cancel <-chan struct{}) (core.Options, *t
 		VoteDenominator: p.Int("votden", 0),
 		FreshStars:      p.Bool("fresh", false),
 		NoRounding:      p.Bool("noround", false),
-		Shards:          transportShards(p),
 		Cancel:          cancel,
 		RoundHook:       roundObserver(p),
 	}
@@ -140,8 +107,8 @@ func coreOptions(p Params, seed int64, cancel <-chan struct{}) (core.Options, *t
 // timingTracer parses the shared execution-only "timing" parameter: when
 // true, the run records its wall-clock timing channel (per-round wall
 // time and scheduler-phase split) through a trace.TimingRecorder and
-// surfaces it via timingMetrics. Like "transport", the parameter selects
-// how a run executes, not what instance it runs on: it is excluded from
+// surfaces it via timingMetrics. The parameter selects how a run
+// executes, not what instance it runs on: it is excluded from
 // InstanceKey, and the timing columns are nondeterministic wall-clock
 // telemetry — reports meant to be byte-reproducible should leave it off
 // (the default).
@@ -388,7 +355,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			mopts := mds.Options{Seed: seed, Bandwidth: p.Int("bandwidth", 0), Shards: transportShards(p), Cancel: cancel, RoundHook: roundObserver(p)}
+			mopts := mds.Options{Seed: seed, Bandwidth: p.Int("bandwidth", 0), Cancel: cancel, RoundHook: roundObserver(p)}
 			tim := timingTracer(p)
 			if tim != nil {
 				mopts.Tracer = tim

@@ -11,9 +11,10 @@
 // scheduling only change wall-clock time. Run seeds are derived by hashing
 // the scenario name, the cell's instance key, and the replicate index into
 // the base seed, so a cell's seeds are stable under grid reordering and
-// sweep composition. Execution-only parameters ("timing", "transport")
-// are excluded from the instance key: cells differing only in them run
-// identical instances and must report identical metrics. Wall-clock
+// sweep composition. Execution-only parameters ("timing", "obs") are
+// excluded from the instance key: cells differing only in them run
+// identical instances and must report identical values for every metric
+// they share. Wall-clock
 // durations are excluded from the serialized report by default; the
 // execution-only "timing" parameter opts in to per-round wall-time
 // metrics (round_wall_ns_mean/max, time_share_*), which are telemetry —
@@ -122,7 +123,7 @@ func (r *Report) Failed() bool { return r.Failures > 0 }
 // base mixed with an FNV hash of the scenario name and the cell's
 // instance key, then a splitmix64 step per replicate. Stable under cell
 // reordering, and blind to execution-only parameters, so cells that
-// differ only in how they execute (timing, transport) run identical
+// differ only in how they execute (timing, obs) run identical
 // instances.
 func DeriveSeed(base int64, scenarioName string, cell scenario.Params, replicate int) int64 {
 	h := fnv.New64a()

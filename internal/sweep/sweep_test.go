@@ -311,11 +311,12 @@ func TestRealScenarioSweep(t *testing.T) {
 func TestExecOnlyAxisRunsIdenticalInstances(t *testing.T) {
 	// Cells that differ only in execution-only parameters must derive
 	// identical seeds (InstanceKey is blind to them), so a sweep over
-	// transport={local,chan2} runs the same instances and — by the
-	// transport conformance contract — yields identical metrics.
+	// timing={false,true} runs the same instances and yields identical
+	// values for every metric both cells report; the timed cell only
+	// adds its wall-clock columns.
 	for r := 0; r < 3; r++ {
 		a := DeriveSeed(7, "twospanner", scenario.Params{"n": "32", "timing": "1"}, r)
-		b := DeriveSeed(7, "twospanner", scenario.Params{"n": "32", "transport": "chan2"}, r)
+		b := DeriveSeed(7, "twospanner", scenario.Params{"n": "32", "obs": "17"}, r)
 		c := DeriveSeed(7, "twospanner", scenario.Params{"n": "32"}, r)
 		if a != b || a != c {
 			t.Fatalf("replicate %d: execution-only parameter leaked into seed derivation: %d %d %d", r, a, b, c)
@@ -327,7 +328,7 @@ func TestExecOnlyAxisRunsIdenticalInstances(t *testing.T) {
 	}
 	rep, err := Execute(Options{
 		Scenario:   sc,
-		Cells:      []scenario.Params{{"n": "28", "transport": "local"}, {"n": "28", "transport": "chan2"}},
+		Cells:      []scenario.Params{{"n": "28", "timing": "false"}, {"n": "28", "timing": "true"}},
 		Replicates: 2,
 		BaseSeed:   11,
 	})
@@ -337,14 +338,15 @@ func TestExecOnlyAxisRunsIdenticalInstances(t *testing.T) {
 	if rep.Failed() {
 		t.Fatalf("sweep failed: %+v", rep.Cells)
 	}
-	local, chan2 := rep.Cells[0], rep.Cells[1]
-	if len(local.Metrics) == 0 {
+	plain, timed := rep.Cells[0], rep.Cells[1]
+	if len(plain.Metrics) == 0 {
 		t.Fatal("no metrics recorded")
 	}
-	for name, agg := range local.Metrics {
-		if chan2.Metrics[name] != agg {
-			t.Fatalf("metric %q diverges across transport cells: local %+v, chan2 %+v",
-				name, agg, chan2.Metrics[name])
+	for name, agg := range plain.Metrics {
+		got, ok := timed.Metrics[name]
+		if !ok || got != agg {
+			t.Fatalf("metric %q diverges across timing cells: untimed %+v, timed %+v (present %v)",
+				name, agg, got, ok)
 		}
 	}
 }

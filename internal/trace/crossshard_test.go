@@ -2,58 +2,45 @@ package trace
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
-	"distspanner/internal/core"
 	"distspanner/internal/dist"
+	"distspanner/internal/distrun"
 	"distspanner/internal/gen"
 	"distspanner/internal/graph"
-	"distspanner/internal/mds"
 )
 
-// Sharding analogue of the engine-vs-reference test: the logical transcript must
-// be invariant under the shard count. Running a family distributed
-// across 1, 2, 4, or 7 shard workers (Options.Shards, in-process
-// channel transport) must produce per-vertex digests identical to the
-// unsharded step engine — partitioning is an execution detail, not an
-// algorithm input.
+// Sharding analogue of the engine-vs-reference test: a run must be
+// invariant under the shard count. Each distrun family, run distributed
+// across 1, 2, 4, 5, or 7 shard workers (Coordinate and ServeShard over
+// the in-process channel transport), must reproduce its in-process run —
+// per-vertex outputs, Stats and per-vertex digests. Partitioning is an
+// execution detail, not an algorithm input. crossmode_test.go ties each
+// family's distrun program to its public entry point, so this covers the
+// algorithms the scenario registry runs.
 
-var shardCounts = []int{1, 2, 4, 7}
+var shardCounts = []int{1, 2, 4, 5, 7}
 
-// shardFamilies mirrors algoFamilies with a shard-count knob; the
-// reference is shards == 0 (the unsharded step engine).
-var shardFamilies = []struct {
-	name string
-	run  func(g *graph.Graph, seed int64, shards int, tr dist.Tracer) error
-}{
-	{"twospanner", func(g *graph.Graph, seed int64, shards int, tr dist.Tracer) error {
-		_, err := core.TwoSpanner(g, core.Options{Seed: seed, Shards: shards, Tracer: tr})
-		return err
-	}},
-	{"congest", func(g *graph.Graph, seed int64, shards int, tr dist.Tracer) error {
-		_, err := core.TwoSpannerCongest(g, core.Options{Seed: seed, Shards: shards, Tracer: tr})
-		return err
-	}},
-	{"directed", func(g *graph.Graph, seed int64, shards int, tr dist.Tracer) error {
-		d := gen.OrientRandomly(g, 0.3, seed)
-		_, err := core.DirectedTwoSpanner(d, core.Options{Seed: seed, Shards: shards, Tracer: tr})
-		return err
-	}},
-	{"cs", func(g *graph.Graph, seed int64, shards int, tr dist.Tracer) error {
-		clients, servers := gen.ClientServerSplit(g, 0.5, 0.8, seed)
-		_, err := core.ClientServerTwoSpanner(g, clients, servers, core.Options{Seed: seed, Shards: shards, Tracer: tr})
-		return err
-	}},
-	{"weighted", func(g *graph.Graph, seed int64, shards int, tr dist.Tracer) error {
-		wg := g.Clone()
-		gen.RandomWeights(wg, 1, 8, seed)
-		_, err := core.TwoSpanner(wg, core.Options{Seed: seed, Shards: shards, Tracer: tr})
-		return err
-	}},
-	{"mds", func(g *graph.Graph, seed int64, shards int, tr dist.Tracer) error {
-		_, err := mds.Run(g, mds.Options{Seed: seed, Shards: shards, Tracer: tr})
-		return err
-	}},
+// runSharded runs family f on (g, seed) across shards in-process channel
+// workers, each serving the distrun programs, with tr installed.
+func runSharded(f distrun.Family, g *graph.Graph, seed int64, shards int, tr dist.Tracer) (*dist.CoordResult, error) {
+	ct, wts := dist.NewChanCluster(shards)
+	var wg sync.WaitGroup
+	for _, wt := range wts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dist.ServeShard(wt, distrun.Resolver())
+		}()
+	}
+	cfg := f.CoordConfig(g, seed)
+	cfg.Tracer = tr
+	res, err := dist.Coordinate(ct, cfg)
+	ct.Close()
+	wg.Wait()
+	return res, err
 }
 
 func TestShardCountDigestInvariance(t *testing.T) {
@@ -62,28 +49,37 @@ func TestShardCountDigestInvariance(t *testing.T) {
 		"clique12": gen.Clique(12),
 		"grid6":    gen.Grid(6, 6),
 	}
-	for _, fam := range shardFamilies {
+	for _, name := range distrun.Names() {
+		f, _ := distrun.Get(name)
 		for gname, g := range graphs {
 			for seed := int64(1); seed <= 2; seed++ {
-				t.Run(fmt.Sprintf("%s/%s/seed=%d", fam.name, gname, seed), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/seed=%d", name, gname, seed), func(t *testing.T) {
 					rec := NewRecorder(g.N())
-					if err := fam.run(g, seed, 0, rec); err != nil {
-						t.Fatalf("reference run: %v", err)
+					outs, stats, err := f.RunLocal(g, seed, rec)
+					if err != nil {
+						t.Fatalf("in-process run: %v", err)
 					}
 					if rec.EventCount() == 0 {
-						t.Fatal("reference run recorded no events")
+						t.Fatal("in-process run recorded no events")
 					}
 					ref := rec.Digest()
 					for _, shards := range shardCounts {
 						rec := NewRecorder(g.N())
-						if err := fam.run(g, seed, shards, rec); err != nil {
+						res, err := runSharded(f, g, seed, shards, rec)
+						if err != nil {
 							t.Fatalf("shards=%d: %v", shards, err)
+						}
+						if res.Stats != *stats {
+							t.Errorf("shards=%d stats diverged:\nin-process: %+v\nsharded:    %+v", shards, *stats, res.Stats)
+						}
+						if !reflect.DeepEqual(res.Outputs, outs) {
+							t.Errorf("shards=%d outputs diverged from the in-process run", shards)
 						}
 						d := rec.Digest()
 						if d.Equal(ref) {
 							continue
 						}
-						t.Errorf("shards=%d digest %s diverged from unsharded digest %s",
+						t.Errorf("shards=%d digest %s diverged from in-process digest %s",
 							shards, d.Run, ref.Run)
 						for v := range d.Vertex {
 							if d.Vertex[v] != ref.Vertex[v] {
