@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync/atomic"
@@ -24,7 +25,7 @@ type Result struct {
 	GraphHash string `json:"graph_hash,omitempty"`
 	Seed      int64  `json:"seed"`
 	// Params is the merged instance cell (execution-only knobs removed:
-	// two requests differing only in engine read back the same document).
+	// two requests differing only in timing read back the same document).
 	Params  scenario.Params  `json:"params"`
 	Metrics scenario.Metrics `json:"metrics"`
 }
@@ -74,12 +75,19 @@ func (s *Server) runJob(job *Job, abort <-chan struct{}, overlay scenario.Params
 	return body, status, err
 }
 
-// decodeJob parses and normalizes the request body.
+// decodeJob parses and normalizes the request body. A body longer than
+// maxBodyBytes is refused with 413 as soon as the decoder reads past it.
 func (s *Server) decodeJob(w http.ResponseWriter, r *http.Request) *Job {
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBodyBytes()))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			s.reject(w, &reqError{status: http.StatusRequestEntityTooLarge,
+				msg: fmt.Sprintf("job body exceeds the server limit of %d bytes", tooBig.Limit)})
+			return nil
+		}
 		s.reject(w, badRequest("invalid job body: %v", err))
 		return nil
 	}

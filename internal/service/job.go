@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"strconv"
 
 	"distspanner/internal/graph"
 	"distspanner/internal/scenario"
@@ -102,6 +103,25 @@ func (s *Server) prepare(req *JobRequest) (*Job, *reqError) {
 	return job, nil
 }
 
+// The longest JSON encodings a job body is sized for. A weight is a
+// finite non-negative float64 as encoding/json writes it: at most 24
+// bytes (0.0000012345678901234567). Everything outside the edge and
+// weight arrays (scenario, params, seed, n) fits in bodyHeadroom.
+const (
+	maxWeightJSON = 24
+	bodyHeadroom  = 64 << 10
+)
+
+// maxBodyBytes bounds a job body by the largest inline graph buildInline
+// accepts: MaxEdges edges, each "[u,v]," with both ids below MaxVertices,
+// and as many weights, each followed by a comma, plus bodyHeadroom. The
+// decoder thus never reads an edge list longer than the limits allow.
+func (s *Server) maxBodyBytes() int64 {
+	id := int64(len(strconv.Itoa(s.opts.MaxVertices - 1)))
+	perEdge := (2*id + 4) + (maxWeightJSON + 1)
+	return int64(s.opts.MaxEdges)*perEdge + bodyHeadroom
+}
+
 // buildInline validates the submission and constructs the graph.
 func (s *Server) buildInline(in *InlineGraph) (*graph.Graph, *reqError) {
 	if in.N < 1 {
@@ -144,10 +164,10 @@ func (s *Server) buildInline(in *InlineGraph) (*graph.Graph, *reqError) {
 
 // jobKey derives the content-addressed cache key. The fingerprint is
 // the merged cell's instance identity (execution-only parameters —
-// engine, transport, timing, obs — excluded, exactly as sweep seed
-// derivation excludes them) with the raw inline edge encoding replaced
-// by the canonical graph hash, so the key stays short and the hash
-// scheme pinned by hash_test.go is load-bearing for every inline job.
+// timing, obs — excluded, exactly as sweep seed derivation excludes
+// them) with the raw inline edge encoding replaced by the canonical
+// graph hash, so the key stays short and the hash scheme pinned by
+// hash_test.go is load-bearing for every inline job.
 func jobKey(scenarioName string, merged scenario.Params, graphHash string, seed int64) string {
 	fp := merged.InstanceParams()
 	if graphHash != "" {

@@ -325,6 +325,68 @@ func TestMalformedExecOnlyParamsRejected(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected: a job body is bounded by the largest inline
+// graph the server accepts, so the decoder never reads an edge list the
+// limits would refuse. The maximal legal graph (every id and weight at
+// its longest encoding) runs, also padded to exactly the limit; one
+// byte more is refused with 413 and reaches no pool slot.
+func TestOversizedBodyRejected(t *testing.T) {
+	const maxEdges = 6
+	srv, ts := newTestServer(t, Options{Workers: 1, MaxVertices: 100, MaxEdges: maxEdges})
+	limit := srv.maxBodyBytes()
+	in := &InlineGraph{N: 100}
+	for u := 96; u < 100; u++ {
+		for v := u + 1; v < 100; v++ {
+			in.Edges = append(in.Edges, [2]int{u, v})
+			in.Weights = append(in.Weights, 1.2345678901234567e-06)
+		}
+	}
+	req := JobRequest{Scenario: "twospanner", Seed: 3, Graph: in}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each edge past the first adds one edge and one weight at their
+	// longest encodings; the bound must allow for every one of them.
+	one, err := json.Marshal(JobRequest{Scenario: "twospanner", Seed: 3,
+		Graph: &InlineGraph{N: 100, Edges: in.Edges[:1], Weights: in.Weights[:1]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perEdge := (limit - bodyHeadroom) / maxEdges
+	if grown := int64(len(body) - len(one)); grown > perEdge*(maxEdges-1) {
+		t.Fatalf("%d more edges take %d bytes, the bound allows %d each", maxEdges-1, grown, perEdge)
+	}
+	post := func(payload []byte) (int, []byte) {
+		resp, err := ts.Client().Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(payload))
+		if err != nil {
+			t.Fatalf("POST /v1/run: %v", err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, msg
+	}
+	// Leading whitespace makes the decoder read every byte of the body.
+	padded := func(size int64) []byte {
+		return append(bytes.Repeat([]byte(" "), int(size)-len(body)), body...)
+	}
+	if status, msg := post(body); status != http.StatusOK {
+		t.Fatalf("maximal inline graph: status %d (%s)", status, msg)
+	}
+	if status, msg := post(padded(limit)); status != http.StatusOK {
+		t.Fatalf("body of exactly %d bytes: status %d (%s)", limit, status, msg)
+	}
+	if status, msg := post(padded(limit + 1)); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body of %d bytes: status %d (%s), want 413", limit+1, status, msg)
+	}
+	if st := srv.Stats(); st.Rejected != 1 {
+		t.Errorf("rejected = %d, want 1", st.Rejected)
+	}
+	if ps := srv.pool.Stats(); ps.Executions != 1 {
+		t.Errorf("pool executions = %d, want 1 (the oversized body must not run)", ps.Executions)
+	}
+}
+
 // sseEvent is one parsed server-sent event.
 type sseEvent struct {
 	name string
