@@ -74,11 +74,11 @@ func TestShardedChaosEquivalence(t *testing.T) {
 	for name, g := range graphs {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				run := func(shards int, run func(Config, func(*Ctx) Machine) (*Stats, error)) ([]int64, Stats, []RoundActivity, *memTracer) {
+				run := func(shards int, exec func(Config, func(*Ctx) Machine) (*Stats, error)) ([]int64, Stats, []RoundActivity, *memTracer) {
 					out := make([]int64, g.N())
 					var curve []RoundActivity
 					rec := newMemTracer(g.N())
-					stats, err := run(Config{
+					stats, err := exec(Config{
 						Graph: g, Seed: seed,
 						OnRound: func(a RoundActivity) { curve = append(curve, a) },
 						Tracer:  rec,
@@ -325,8 +325,8 @@ func TestShardedCutMetering(t *testing.T) {
 	for v := 4; v < 8; v++ {
 		cut[v] = true
 	}
-	run := func(shards int, run func(Config, func(*Ctx) Machine) (*Stats, error)) Stats {
-		stats, err := run(Config{Graph: g, Seed: 1, CutSide: cut},
+	run := func(shards int, exec func(Config, func(*Ctx) Machine) (*Stats, error)) Stats {
+		stats, err := exec(Config{Graph: g, Seed: 1, CutSide: cut},
 			func(c *Ctx) Machine {
 				return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
 					if in.Start {

@@ -80,15 +80,7 @@ func benchChanRun(b *testing.B, g *graph.Graph, workers int) {
 			}
 		}()
 	}
-	res, err := dist.Coordinate(ct, dist.CoordConfig{Graph: g, Seed: 1})
-	ct.Close()
-	wg.Wait()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if res.Stats.Rounds != benchRounds {
-		b.Fatalf("rounds = %d", res.Stats.Rounds)
-	}
+	benchCoordinate(b, ct, g, &wg)
 }
 
 func benchTCPRun(b *testing.B, g *graph.Graph, workers int) {
@@ -116,6 +108,12 @@ func benchTCPRun(b *testing.B, g *graph.Graph, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchCoordinate(b, ct, g, &wg)
+}
+
+// benchCoordinate runs the workload over the workers connected by ct,
+// then closes ct and waits for the workers in wg to return.
+func benchCoordinate(b *testing.B, ct dist.CoordTransport, g *graph.Graph, wg *sync.WaitGroup) {
 	res, err := dist.Coordinate(ct, dist.CoordConfig{Graph: g, Seed: 1})
 	ct.Close()
 	wg.Wait()
